@@ -8,10 +8,6 @@
 //! * `surgery-mwpm-d5`: d = 5 Z-basis Lattice Surgery at tau = 1000 ns,
 //!   a Passive and an Active arm with shots split evenly, decoded by
 //!   [`DecoderKind::Mwpm`] (the Fig. 14 path).
-//! * `memory-uf-d15`: a d = 15, 16-round memory experiment decoded by
-//!   [`DecoderKind::UnionFind`] (the batch union-find regime). Runnable
-//!   by name, but not listed in `BENCHMARK.json`: on shared hosts its
-//!   run-to-run spread exceeds the benchmark's bounds (see README.md).
 //! * `stream-uf-d11`: a d = 11, 44-round memory experiment decoded round
 //!   by round through `StreamingConfig::fused(2, 1)` over union-find:
 //!   `push_round` per round, `flush_round` until it returns `None`,
@@ -24,23 +20,26 @@
 //! seed and batch size.
 //!
 //! An untraced run ([`Options::trace`] off) gives the end-to-end
-//! metrics ([`END_TO_END`]). A traced run spends half its time in the
-//! library's own batch entry points (`count_batch_errors`,
-//! `count_batch_errors_streaming`), then replays the same shots
-//! through `parallel_batches_with` with timers around each layer call,
-//! and reports [`PER_LAYER`]. The timers live only in this
-//! crate; no telemetry sink is installed. The replay must reproduce
+//! metrics ([`END_TO_END`]): batch workloads run `count_batch_errors`
+//! through a decoder adapter that times each `decode_into`, streaming
+//! workloads time each `push_round` and `flush_round` call. A traced
+//! run spends half its time in the library's own batch entry points
+//! (`count_batch_errors`, `count_batch_errors_streaming`), then replays
+//! the same shots through `parallel_batches_with` with timers around
+//! each layer call, and reports [`PER_LAYER`]. The timers live only in
+//! this crate; no telemetry sink is installed. The replay must reproduce
 //! the library entry points' failure counts exactly.
 //!
 //! Every run checks its outputs (see [`Check`]); a run that fails a
 //! check counts all its shots as failed operations.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use ftqc_circuit::{Circuit, Schedule};
 use ftqc_decoder::{
     count_batch_errors, count_batch_errors_streaming, AnyDecoder, Decoder, DecoderKind,
-    DecoderScratch, DecodingGraph, StreamingConfig,
+    DecoderScratch, DecodingGraph, ScratchCapacity, StreamingConfig,
 };
 use ftqc_experiments::{EvalPipeline, EvalPipelineBuilder, LsSetup};
 use ftqc_noise::{CircuitNoiseModel, HardwareConfig};
@@ -65,10 +64,11 @@ pub const REFERENCE_SEED: u64 = 1_000_000_007;
 /// goes away.
 pub const EXACT_LIMIT_TODAY: usize = 16;
 
-/// Set-ups per untraced run; `setup_s` is their median. Fixed, not
-/// time-based: later set-ups in one process run faster once the
-/// allocator has grown, so the count decides which set-ups are seen.
-const SETUP_REPS: usize = 5;
+/// Timed set-ups per untraced run, after one untimed warm-up; `setup_s`
+/// is their median. The warm-up takes the cold start (page faults while
+/// the heap first grows) out of every timed set-up. Fixed, not
+/// time-based, so every run sees the same set-ups.
+const SETUP_REPS: usize = 8;
 
 /// Standard deviations of slack in the output checks.
 const CHECK_Z: f64 = 4.0;
@@ -217,19 +217,6 @@ impl Workload {
         }
     }
 
-    /// A `rounds`-round memory experiment at distance `d`, batch
-    /// union-find.
-    pub fn memory_uf(d: u32, rounds: u32, check: Check) -> Workload {
-        Workload {
-            name: format!("memory-uf-d{d}"),
-            arms: vec![memory_arm(d, rounds)],
-            decoder: DecoderKind::UnionFind,
-            batch_shots: 512,
-            stream: None,
-            check,
-        }
-    }
-
     /// A `rounds`-round memory experiment at distance `d`, streamed
     /// through fused windows (W = 2, overlap 1) over union-find.
     pub fn stream_uf(d: u32, rounds: u32, check: Check) -> Workload {
@@ -244,9 +231,9 @@ impl Workload {
     }
 
     /// The benchmark's workloads, with their committed reference bands
-    /// (`syncbench --workload <name> --reference <shots> --threads 2`
-    /// with 100 000 surgery shots per arm, 200 000 memory shots and
-    /// 20 000 streamed shots, rounded up in the last digit).
+    /// (`syncbench --workload <name> --reference <shots>` with 100 000
+    /// surgery shots per arm and 20 000 streamed shots, rounded up in
+    /// the last digit).
     pub fn named(name: &str) -> Option<Workload> {
         match name {
             "surgery-mwpm-d5" => Some(Workload::surgery_mwpm(
@@ -255,11 +242,6 @@ impl Workload {
                     vec![0.004_720_3, 0.003_771_6, 0.008_111_0],
                     vec![0.004_569_9, 0.003_652_3, 0.007_741_5],
                 ]),
-            )),
-            "memory-uf-d15" => Some(Workload::memory_uf(
-                15,
-                16,
-                Check::LerBelow(vec![vec![0.000_054_54]]),
             )),
             "stream-uf-d11" => Some(Workload::stream_uf(
                 11,
@@ -368,11 +350,8 @@ struct Tally {
     wall_ns: u64,
     /// Time inside the per-batch closures (everything but sampling).
     closure_ns: u64,
-    /// Per-call latency of the user-visible decode step: one
-    /// `decode_into` (batch) or one `push_round`/`flush_round` (stream).
-    latencies_ns: Vec<u32>,
-    /// Defects per shot.
-    defects: Vec<u32>,
+    /// Shots with more than [`EXACT_LIMIT_TODAY`] defects.
+    over16: u64,
     scan_ns: u64,
     decode_ns: u64,
     decode_calls: u64,
@@ -401,8 +380,7 @@ impl Tally {
         self.shots += other.shots;
         self.wall_ns += other.wall_ns;
         self.closure_ns += other.closure_ns;
-        self.latencies_ns.extend(other.latencies_ns);
-        self.defects.extend(other.defects);
+        self.over16 += other.over16;
         self.scan_ns += other.scan_ns;
         self.decode_ns += other.decode_ns;
         self.decode_calls += other.decode_calls;
@@ -444,10 +422,116 @@ fn nanos(d: std::time::Duration) -> u64 {
     d.as_nanos() as u64
 }
 
-/// A latency sample: nanoseconds, saturating at ~4.3 s (4 bytes; a
-/// streaming run records hundreds of thousands).
-fn sample(ns: u64) -> u32 {
-    u32::try_from(ns).unwrap_or(u32::MAX)
+/// Sub-buckets per power of two in a [`Histogram`].
+const SUB_BITS: u32 = 6;
+/// Values below this have a bucket of their own.
+const EXACT_BELOW: u64 = 2 << SUB_BITS;
+
+/// A fixed-size log-linear histogram of non-negative integers: exact
+/// below 128, then 64 buckets per power of two (each at most 1/64 of
+/// its lower edge wide). Recording never allocates, so the run's memory
+/// does not grow with its length. Relaxed atomics let a decoder adapter
+/// record through a shared reference.
+struct Histogram {
+    counts: Vec<AtomicU64>,
+}
+
+impl Default for Histogram {
+    fn default() -> Self {
+        Histogram {
+            counts: (0..=Histogram::index(u64::MAX))
+                .map(|_| AtomicU64::new(0))
+                .collect(),
+        }
+    }
+}
+
+impl Histogram {
+    fn index(v: u64) -> usize {
+        if v < EXACT_BELOW {
+            return v as usize;
+        }
+        let e = 63 - v.leading_zeros();
+        let octave = u64::from(e - SUB_BITS - 1);
+        (EXACT_BELOW + (octave << SUB_BITS) + (v >> (e - SUB_BITS)) - (1 << SUB_BITS)) as usize
+    }
+
+    /// Lower edge and width of bucket `i`.
+    fn bucket(i: usize) -> (u64, u64) {
+        let i = i as u64;
+        if i < EXACT_BELOW {
+            return (i, 1);
+        }
+        let j = i - EXACT_BELOW;
+        let shift = (j >> SUB_BITS) + 1;
+        let mantissa = (j & ((1 << SUB_BITS) - 1)) + (1 << SUB_BITS);
+        (mantissa << shift, 1 << shift)
+    }
+
+    fn record(&self, v: u64) {
+        self.counts[Histogram::index(v)].fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn len(&self) -> u64 {
+        self.counts.iter().map(|c| c.load(Ordering::Relaxed)).sum()
+    }
+
+    /// Nearest-rank quantile (`0` for no samples). Inside a bucket wider
+    /// than 1 the bucket's samples are taken as spread evenly over it.
+    fn quantile(&self, q: f64) -> f64 {
+        let n = self.len();
+        if n == 0 {
+            return 0.0;
+        }
+        let rank = ((q * n as f64).ceil() as u64).clamp(1, n);
+        let mut seen = 0;
+        for (i, count) in self.counts.iter().enumerate() {
+            let count = count.load(Ordering::Relaxed);
+            if seen + count >= rank {
+                let (lo, width) = Histogram::bucket(i);
+                if width == 1 {
+                    return lo as f64;
+                }
+                let within = ((rank - seen) as f64 - 0.5) / count as f64;
+                return lo as f64 + width as f64 * within;
+            }
+            seen += count;
+        }
+        unreachable!("rank {rank} is at most the sample count {n}")
+    }
+}
+
+/// Per-call samples of a pass.
+#[derive(Default)]
+struct Samples {
+    /// Latency of the user-visible decode step: one non-empty
+    /// `decode_into` (batch) or one `push_round`/`flush_round` (stream).
+    latency_ns: Histogram,
+    /// Defects per shot (traced passes only).
+    defects: Histogram,
+}
+
+/// The decoder under test, timing every `decode_into` of a non-empty
+/// syndrome. Untraced batch runs drive `count_batch_errors` through it,
+/// which decodes the empty syndrome once per worker and memoizes it.
+struct Timing<'a> {
+    inner: &'a dyn Decoder,
+    latency_ns: &'a Histogram,
+}
+
+impl Decoder for Timing<'_> {
+    fn decode_into(&self, scratch: &mut DecoderScratch, syndrome: &[u32], correction: &mut u32) {
+        if syndrome.is_empty() {
+            return self.inner.decode_into(scratch, syndrome, correction);
+        }
+        let start = Instant::now();
+        self.inner.decode_into(scratch, syndrome, correction);
+        self.latency_ns.record(nanos(start.elapsed()));
+    }
+
+    fn scratch_capacity(&self) -> ScratchCapacity {
+        self.inner.scratch_capacity()
+    }
 }
 
 fn score(errors: &mut [u64], batch: &SampleBatch, s: usize, predicted: u32) {
@@ -458,14 +542,15 @@ fn score(errors: &mut [u64], batch: &SampleBatch, s: usize, predicted: u32) {
     }
 }
 
-/// Samples and batch-decodes `plan` exactly as `count_batch_errors`
-/// does (word-wise scan, memoized empty syndrome), timing every
-/// `decode_into`. `TRACE` adds the scan timers and defect samples.
-fn batch_pass<const TRACE: bool>(
+/// The traced replay of a batch workload: samples and batch-decodes
+/// `plan` exactly as `count_batch_errors` does (word-wise scan, memoized
+/// empty syndrome), with timers around every scan and `decode_into`.
+fn batch_pass(
     circuit: &Circuit,
     decoder: &dyn Decoder,
     plan: &[BatchSpec],
     seed: u64,
+    samples: &Samples,
 ) -> Tally {
     let num_obs = circuit.num_observables() as usize;
     let start = Instant::now();
@@ -490,17 +575,14 @@ fn batch_pass<const TRACE: bool>(
                 ..Tally::default()
             };
             scanner.begin_batch(batch);
-            if TRACE {
-                t.scan_ns += nanos(begin.elapsed());
-            }
+            t.scan_ns += nanos(begin.elapsed());
             for s in 0..batch.shots {
-                let scan_start = TRACE.then(Instant::now);
+                let scan_start = Instant::now();
                 scanner.flagged_into(batch, s, syndrome);
                 let decode_start = Instant::now();
-                if let Some(scan_start) = scan_start {
-                    t.scan_ns += nanos(decode_start - scan_start);
-                    t.defects.push(syndrome.len() as u32);
-                }
+                t.scan_ns += nanos(decode_start - scan_start);
+                samples.defects.record(syndrome.len() as u64);
+                t.over16 += u64::from(syndrome.len() > EXACT_LIMIT_TODAY);
                 let predicted = if syndrome.is_empty() {
                     *empty_pred.get_or_insert_with(|| {
                         let mut p = 0;
@@ -511,7 +593,7 @@ fn batch_pass<const TRACE: bool>(
                     let mut p = 0;
                     decoder.decode_into(scratch, syndrome, &mut p);
                     let ns = nanos(decode_start.elapsed());
-                    t.latencies_ns.push(sample(ns));
+                    samples.latency_ns.record(ns);
                     t.decode_ns += ns;
                     t.decode_calls += 1;
                     t.defects_decoded += syndrome.len() as u64;
@@ -532,7 +614,7 @@ fn batch_pass<const TRACE: bool>(
 /// fresh streaming decoder: `push_round` per round, `flush_round`
 /// until `None`, then `finish_shot`, timing every push and every
 /// committing flush. `TRACE` adds round-extraction, finish and
-/// provenance accounting.
+/// defect accounting.
 fn stream_pass<const TRACE: bool>(
     circuit: &Circuit,
     decoder: &dyn Decoder,
@@ -540,6 +622,7 @@ fn stream_pass<const TRACE: bool>(
     schedule: &RoundSchedule,
     plan: &[BatchSpec],
     seed: u64,
+    samples: &Samples,
 ) -> Tally {
     let num_obs = circuit.num_observables() as usize;
     let start = Instant::now();
@@ -584,7 +667,7 @@ fn stream_pass<const TRACE: bool>(
                     }
                     let commit = stream.push_round(defects);
                     let ns = nanos(push_start.elapsed());
-                    t.latencies_ns.push(sample(ns));
+                    samples.latency_ns.record(ns);
                     t.push_ns += ns;
                     t.rounds += 1;
                     shot_defects += defects.len() as u32;
@@ -598,7 +681,7 @@ fn stream_pass<const TRACE: bool>(
                     let flush_start = Instant::now();
                     let Some(c) = stream.flush_round() else { break };
                     let ns = nanos(flush_start.elapsed());
-                    t.latencies_ns.push(sample(ns));
+                    samples.latency_ns.record(ns);
                     t.push_ns += ns;
                     last = Some(c.cumulative);
                     t.commits += 1;
@@ -614,7 +697,8 @@ fn stream_pass<const TRACE: bool>(
                 }
                 t.round_defects += shot_defects as u64;
                 if TRACE {
-                    t.defects.push(shot_defects);
+                    samples.defects.record(u64::from(shot_defects));
+                    t.over16 += u64::from(shot_defects as usize > EXACT_LIMIT_TODAY);
                 }
                 score(&mut t.errors, batch, s, predicted);
             }
@@ -668,13 +752,11 @@ fn prepare(w: &Workload, seed: u64) -> Vec<Prepared> {
 }
 
 /// A timed pass: the per-arm plans executed (one batch per call), the
-/// per-arm tallies, the wall time, and the peak RSS after the first
-/// cycle.
+/// per-arm tallies and the wall time.
 struct Timed {
     plans: Vec<Vec<BatchSpec>>,
     tallies: Vec<Tally>,
     wall: f64,
-    first_cycle_rss_mb: f64,
 }
 
 /// Runs one batch per arm per cycle until `seconds` have passed.
@@ -682,7 +764,6 @@ fn timed(w: &Workload, seconds: f64, mut call: impl FnMut(usize, &[BatchSpec]) -
     let arms = w.arms.len();
     let mut plans = vec![Vec::new(); arms];
     let mut tallies = vec![Tally::default(); arms];
-    let mut first_cycle_rss_mb = None;
     let start = Instant::now();
     let mut next = 0u64;
     while start.elapsed().as_secs_f64() < seconds || next == 0 {
@@ -691,14 +772,12 @@ fn timed(w: &Workload, seconds: f64, mut call: impl FnMut(usize, &[BatchSpec]) -
             tallies[i].absorb(call(i, &chunk));
             plans[i].push(chunk[0]);
         }
-        first_cycle_rss_mb.get_or_insert_with(peak_rss_mb);
         next += 1;
     }
     Timed {
         plans,
         tallies,
         wall: start.elapsed().as_secs_f64(),
-        first_cycle_rss_mb: first_cycle_rss_mb.expect("at least one cycle"),
     }
 }
 
@@ -807,25 +886,8 @@ fn under_test<'a>(real: &'a AnyDecoder, o: &Options) -> Box<dyn Decoder + 'a> {
     }
 }
 
-/// One measured call: a streaming pass when the workload streams, a
-/// batch pass otherwise.
-fn pass<const TRACE: bool>(
-    w: &Workload,
-    circuit: &Circuit,
-    decoder: &dyn Decoder,
-    schedule: Option<&RoundSchedule>,
-    plan: &[BatchSpec],
-    seed: u64,
-) -> Tally {
-    match (w.stream, schedule) {
-        (Some(config), Some(schedule)) => {
-            stream_pass::<TRACE>(circuit, decoder, config, schedule, plan, seed)
-        }
-        _ => batch_pass::<TRACE>(circuit, decoder, plan, seed),
-    }
-}
-
 fn run_untraced(w: &Workload, o: &Options) -> Report {
+    drop(prepare(w, o.seed));
     let mut setups = Vec::with_capacity(SETUP_REPS);
     let mut prepared = None;
     for _ in 0..SETUP_REPS {
@@ -839,36 +901,41 @@ fn run_untraced(w: &Workload, o: &Options) -> Report {
         .iter()
         .map(|p| under_test(p.pipeline.decoder(), o))
         .collect();
+    let samples = Samples::default();
     let Timed {
         plans,
         tallies,
         wall,
-        first_cycle_rss_mb,
     } = timed(w, o.seconds, |i, chunk| {
         let p = &prepared[i];
         let (circuit, seed) = (p.pipeline.circuit(), p.pipeline.seed());
-        pass::<false>(
-            w,
-            circuit,
-            decoders[i].as_ref(),
-            p.schedule.as_ref(),
-            chunk,
-            seed,
-        )
+        let decoder = decoders[i].as_ref();
+        match (w.stream, &p.schedule) {
+            (Some(config), Some(schedule)) => {
+                stream_pass::<false>(circuit, decoder, config, schedule, chunk, seed, &samples)
+            }
+            _ => {
+                let timing = Timing {
+                    inner: decoder,
+                    latency_ns: &samples.latency_ns,
+                };
+                Tally::from_errors(count_batch_errors(circuit, &timing, chunk, seed, 1), chunk)
+            }
+        }
     });
+    let peak_rss_mb = peak_rss_mb();
     let violations = check(w, &prepared, &plans, &tallies);
     let mut notes = summary(w, &tallies, prepared.iter().map(|p| p.pipeline.circuit()));
     let total = Tally::merged(tallies);
-    let mut latencies = total.latencies_ns;
     notes.push(format!(
         "{} latency samples; set-ups {setups:?} s",
-        latencies.len()
+        samples.latency_ns.len()
     ));
     let metrics = vec![
         total.shots as f64 / wall,
-        quantile(&mut latencies, 0.99) as f64 / 1e3,
+        samples.latency_ns.quantile(0.99) / 1e3,
         median(&mut setups),
-        first_cycle_rss_mb,
+        peak_rss_mb,
     ];
     report(total.shots, violations, &END_TO_END, metrics, notes)
 }
@@ -960,10 +1027,16 @@ fn run_traced(w: &Workload, o: &Options) -> Report {
     let mut layers = SetupLayers::default();
     let layered = prepare_layered(w, o.seed, &mut layers);
     let traced_decoders: Vec<_> = layered.iter().map(|l| under_test(&l.decoder, o)).collect();
+    let samples = Samples::default();
     let (traced, wall) = replay(&plans, |i, chunk| {
         let l = &layered[i];
         let decoder = traced_decoders[i].as_ref();
-        pass::<true>(w, &l.circuit, decoder, l.schedule.as_ref(), chunk, l.seed)
+        match (w.stream, &l.schedule) {
+            (Some(config), Some(schedule)) => stream_pass::<true>(
+                &l.circuit, decoder, config, schedule, chunk, l.seed, &samples,
+            ),
+            _ => batch_pass(&l.circuit, decoder, chunk, l.seed, &samples),
+        }
     });
     let mut violations = check(w, &prepared, &plans, &traced);
     for (i, (u, t)) in untraced.iter().zip(&traced).enumerate() {
@@ -987,29 +1060,25 @@ fn run_traced(w: &Workload, o: &Options) -> Report {
         + total.finish_ns;
     // Per-call latencies are `decode_into` calls on batch workloads and
     // `push_round`/`flush_round` calls on streaming ones.
-    let (mut decode_lat, mut round_lat) = if w.stream.is_some() {
-        (Vec::new(), total.latencies_ns.clone())
+    let latency_us = |q| samples.latency_ns.quantile(q) / 1e3;
+    let (decode_p50, decode_p99, round_p50) = if w.stream.is_some() {
+        (0.0, 0.0, latency_us(0.50))
     } else {
-        (total.latencies_ns.clone(), Vec::new())
+        (latency_us(0.50), latency_us(0.99), 0.0)
     };
-    let mut defects = total.defects.clone();
-    let over16 = defects
-        .iter()
-        .filter(|&&k| k as usize > EXACT_LIMIT_TODAY)
-        .count();
     let metrics = vec![
         secs(total.decode_ns),
         share(total.decode_ns),
-        quantile(&mut decode_lat, 0.50) as f64 / 1e3,
-        quantile(&mut decode_lat, 0.99) as f64 / 1e3,
+        decode_p50,
+        decode_p99,
         total.decode_calls as f64,
         per(total.decode_ns as f64, total.defects_decoded),
         layers.graph_s,
         layers.build_s,
         layers.edges as f64,
-        quantile(&mut defects, 0.50) as f64,
-        quantile(&mut defects, 0.99) as f64,
-        per(over16 as f64, total.shots),
+        samples.defects.quantile(0.50),
+        samples.defects.quantile(0.99),
+        per(total.over16 as f64, total.shots),
         secs(sample_ns),
         share(sample_ns),
         secs(total.scan_ns),
@@ -1024,7 +1093,7 @@ fn run_traced(w: &Workload, o: &Options) -> Report {
         per(total.round_defects as f64, total.rounds),
         per(total.boundary_defects as f64, total.commits),
         secs(total.finish_ns),
-        quantile(&mut round_lat, 0.50) as f64 / 1e3,
+        round_p50,
         share(named),
         wall / untraced_wall - 1.0,
     ];
@@ -1084,25 +1153,20 @@ fn report(
     }
 }
 
-/// Nearest-rank quantile (`0` for no samples); reorders `xs`.
-fn quantile<T: Copy + Ord + Default>(xs: &mut [T], q: f64) -> T {
-    if xs.is_empty() {
-        return T::default();
-    }
-    let rank = ((q * xs.len() as f64).ceil() as usize).clamp(1, xs.len());
-    *xs.select_nth_unstable(rank - 1).1
-}
-
 fn median(xs: &mut [f64]) -> f64 {
     xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
+    let mid = xs.len() / 2;
+    if xs.len().is_multiple_of(2) {
+        (xs[mid - 1] + xs[mid]) / 2.0
+    } else {
+        xs[mid]
+    }
 }
 
-/// Peak resident set size of this process (`VmHWM`), in MB. Runs read
-/// it after the first cycle of batches: from then on the decode loop
-/// reuses the same buffers, and a later reading would add the
-/// benchmark's own sample buffers and allocator retention that varies
-/// with run length.
+/// Peak resident set size of this process (`VmHWM`), in MB. Untraced
+/// runs read it at the end of the timed phase, so it covers the
+/// set-ups and every decode; the benchmark's own per-call samples live
+/// in fixed-size histograms and do not grow with the run.
 fn peak_rss_mb() -> f64 {
     std::fs::read_to_string("/proc/self/status")
         .ok()
@@ -1116,10 +1180,12 @@ fn peak_rss_mb() -> f64 {
 }
 
 /// Measures a workload's reference band with [`REFERENCE_SEED`]:
-/// `shots` per arm on `threads` workers, through the library entry points
-/// (and, for streaming workloads, a per-shot fused-versus-batch
-/// comparison). Band edges are Wilson upper bounds at z = 3.
-pub fn measure_check(w: &Workload, shots: u64, threads: usize) -> Check {
+/// `shots` per arm on every available core, through the library entry
+/// points (and, for streaming workloads, a per-shot fused-versus-batch
+/// comparison). The counts do not depend on the number of workers.
+/// Band edges are Wilson upper bounds at z = 3.
+pub fn measure_check(w: &Workload, shots: u64) -> Check {
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let prepared = prepare(w, REFERENCE_SEED);
     let plan = batch_plan(shots, w.batch_shots);
     let upper = |k: u64| BinomialEstimate::new(k, shots).wilson_interval(3.0).1;
@@ -1210,5 +1276,44 @@ pub fn measure_check(w: &Workload, shots: u64, threads: usize) -> Check {
                 disagree: totals.iter().map(|t| upper(t[2])).collect(),
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn histogram_buckets_tile_the_integers() {
+        let mut next = 0;
+        for i in 0..Histogram::default().counts.len() {
+            let (lo, width) = Histogram::bucket(i);
+            assert_eq!(lo, next, "bucket {i}");
+            assert_eq!(Histogram::index(lo), i);
+            assert_eq!(Histogram::index(lo + (width - 1)), i);
+            assert!(width == 1 || width * 64 <= lo, "bucket {i} too wide");
+            next = lo.wrapping_add(width);
+        }
+        assert_eq!(next, 0, "the last bucket ends at u64::MAX");
+    }
+
+    #[test]
+    fn histogram_quantiles_are_exact_for_small_values_and_close_above() {
+        let h = Histogram::default();
+        for v in 1..=100 {
+            h.record(v);
+        }
+        assert_eq!(h.len(), 100);
+        assert_eq!(h.quantile(0.5), 50.0);
+        assert_eq!(h.quantile(0.99), 99.0);
+        let h = Histogram::default();
+        for v in 1..=100_000u64 {
+            h.record(v * 10);
+        }
+        for q in [0.5, 0.99] {
+            let exact = q * 1e6;
+            assert!((h.quantile(q) - exact).abs() < exact / 64.0, "q {q}");
+        }
+        assert_eq!(Histogram::default().quantile(0.5), 0.0);
     }
 }

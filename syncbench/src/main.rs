@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! syncbench --workload NAME --seed N --seconds S --trace 0|1
-//! syncbench --workload NAME --reference SHOTS [--threads T]
+//! syncbench --workload NAME --reference SHOTS
 //! ```
 //!
 //! A run prints a human summary on stderr and, as the last line of
@@ -16,8 +16,8 @@ use std::process::ExitCode;
 use syncbench::{measure_check, run, Options, Workload, REFERENCE_SEED};
 
 const USAGE: &str = "usage: syncbench --workload NAME --seed N --seconds S --trace 0|1\n       \
-                     syncbench --workload NAME --reference SHOTS [--threads T]\n\
-                     workloads: surgery-mwpm-d5 memory-uf-d15 stream-uf-d11";
+                     syncbench --workload NAME --reference SHOTS\n\
+                     workloads: surgery-mwpm-d5 stream-uf-d11";
 
 struct Args {
     workload: Workload,
@@ -25,12 +25,11 @@ struct Args {
     seconds: f64,
     trace: bool,
     reference: Option<u64>,
-    threads: usize,
 }
 
 fn parse(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
-    let (mut workload, mut seed, mut seconds, mut trace, mut reference, mut threads) =
-        (None, None, None, None, None, 1);
+    let (mut workload, mut seed, mut seconds, mut trace, mut reference) =
+        (None, None, None, None, None);
     while let Some(flag) = argv.next() {
         let value = argv.next().ok_or(format!("{flag} needs a value"))?;
         let bad = |what: &str| format!("{flag}: {what}, got `{value}`");
@@ -62,13 +61,6 @@ fn parse(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
                         .ok_or_else(|| bad("want a positive shot count"))?,
                 )
             }
-            "--threads" => {
-                threads = value
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| bad("want a positive integer"))?
-            }
             _ => return Err(format!("unknown flag `{flag}`")),
         }
     }
@@ -80,7 +72,6 @@ fn parse(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
             seconds: 0.0,
             trace: false,
             reference,
-            threads,
         });
     }
     let seed = seed.ok_or("missing --seed")?;
@@ -95,7 +86,6 @@ fn parse(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
         seconds: seconds.ok_or("missing --seconds")?,
         trace: trace.ok_or("missing --trace")?,
         reference,
-        threads,
     })
 }
 
@@ -108,7 +98,7 @@ fn main() -> ExitCode {
         }
     };
     if let Some(shots) = args.reference {
-        let check = measure_check(&args.workload, shots, args.threads);
+        let check = measure_check(&args.workload, shots);
         println!("{}: {check:?}", args.workload.name);
         return ExitCode::SUCCESS;
     }

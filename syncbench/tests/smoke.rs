@@ -5,17 +5,16 @@
 use ftqc_decoder::{AnyDecoder, Decoder, DecoderScratch, ScratchCapacity};
 use syncbench::{measure_check, run, Check, Options, Report, Workload, END_TO_END, PER_LAYER};
 
-/// The three workload shapes at d = 3, with bands measured the way the
+/// Both workload shapes at d = 3, with bands measured the way the
 /// committed ones are.
 fn tiny() -> Vec<Workload> {
     let placeholder = || Check::LerBelow(Vec::new());
     let mut workloads = vec![
         Workload::surgery_mwpm(3, placeholder()),
-        Workload::memory_uf(3, 4, placeholder()),
         Workload::stream_uf(3, 8, placeholder()),
     ];
     for w in &mut workloads {
-        w.check = measure_check(w, 2_048, 1);
+        w.check = measure_check(w, 2_048);
     }
     workloads
 }
@@ -119,8 +118,6 @@ fn benchmark_json_names_every_workload_and_metric() {
     let json = std::fs::read_to_string(path).expect("BENCHMARK.json at the repository root");
     for name in ["surgery-mwpm-d5", "stream-uf-d11"] {
         assert!(json.contains(&format!("\"name\": \"{name}\"")), "{name}");
-    }
-    for name in ["surgery-mwpm-d5", "memory-uf-d15", "stream-uf-d11"] {
         assert_eq!(
             Workload::named(name).map(|w| w.name),
             Some(name.to_string())
