@@ -64,16 +64,13 @@ pub const REFERENCE_SEED: u64 = 1_000_000_007;
 /// goes away.
 pub const EXACT_LIMIT_TODAY: usize = 16;
 
-/// Timed set-ups per untraced run, after one untimed warm-up; `setup_s`
-/// is their median. The warm-up takes the cold start (page faults while
-/// the heap first grows) out of every timed set-up. Fixed, not
-/// time-based, so every run sees the same set-ups.
-const SETUP_REPS: usize = 8;
-
 /// Standard deviations of slack in the output checks.
 const CHECK_Z: f64 = 4.0;
 
 /// End-to-end metrics `(name, unit)`, reported by untraced runs.
+/// Throughput and p99 are measured per segment of the timed phase
+/// ([`Workload::segment_s`]); a run reports the upper quartile of the
+/// segment rates and the lower quartile of the segment p99s.
 pub const END_TO_END: [(&str, &str); 4] = [
     ("shots_per_s", "1/s"),
     ("latency_p99_us", "us"),
@@ -189,6 +186,18 @@ pub struct Workload {
     pub decoder: DecoderKind,
     /// Shots per sampling batch; also the granularity of a timed run.
     pub batch_shots: usize,
+    /// Shortest segment of a timed phase, in seconds: a run of whole
+    /// cycles (one batch per arm) over which end-to-end throughput and
+    /// tail latency are measured. Long enough for about 8k decode
+    /// steps, so a segment's p99 rests on some 80 samples.
+    pub segment_s: f64,
+    /// Timed set-ups per untraced run, back to back after one untimed
+    /// warm-up; `setup_s` is their median. The warm-up takes the cold
+    /// start (page faults while the heap first grows) out of every timed
+    /// set-up. A fixed count, so every run sees the same set-ups and the
+    /// same peak memory; about 2 s or more of set-ups, so their median
+    /// does not rest on one instant of a shared host.
+    pub setup_reps: usize,
     /// Streaming configuration; `None` for batch decoding.
     pub stream: Option<StreamingConfig>,
     /// Output check.
@@ -212,6 +221,8 @@ impl Workload {
             ],
             decoder: DecoderKind::Mwpm,
             batch_shots: 256,
+            segment_s: 5.0,
+            setup_reps: 25,
             stream: None,
             check,
         }
@@ -225,6 +236,8 @@ impl Workload {
             arms: vec![memory_arm(d, rounds)],
             decoder: DecoderKind::UnionFind,
             batch_shots: 64,
+            segment_s: 1.0,
+            setup_reps: 7,
             stream: Some(StreamingConfig::fused(2, 1)),
             check,
         }
@@ -474,6 +487,12 @@ impl Histogram {
 
     fn len(&self) -> u64 {
         self.counts.iter().map(|c| c.load(Ordering::Relaxed)).sum()
+    }
+
+    fn clear(&self) {
+        for c in &self.counts {
+            c.store(0, Ordering::Relaxed);
+        }
     }
 
     /// Nearest-rank quantile (`0` for no samples). Inside a bucket wider
@@ -751,33 +770,80 @@ fn prepare(w: &Workload, seed: u64) -> Vec<Prepared> {
         .collect()
 }
 
+/// One segment of a timed phase.
+struct Segment {
+    shots_per_s: f64,
+    /// p99 of the per-call latencies recorded in the segment (ns), or
+    /// `0` when the pass records none.
+    latency_p99_ns: f64,
+}
+
 /// A timed pass: the per-arm plans executed (one batch per call), the
-/// per-arm tallies and the wall time.
+/// per-arm tallies, the timed wall and its segments.
 struct Timed {
     plans: Vec<Vec<BatchSpec>>,
     tallies: Vec<Tally>,
+    /// Timed seconds, summed over segments.
     wall: f64,
+    segments: Vec<Segment>,
+    /// Per-call latency samples, summed over segments.
+    latency_samples: u64,
 }
 
-/// Runs one batch per arm per cycle until `seconds` have passed.
-fn timed(w: &Workload, seconds: f64, mut call: impl FnMut(usize, &[BatchSpec]) -> Tally) -> Timed {
-    let arms = w.arms.len();
-    let mut plans = vec![Vec::new(); arms];
-    let mut tallies = vec![Tally::default(); arms];
-    let start = Instant::now();
-    let mut next = 0u64;
-    while start.elapsed().as_secs_f64() < seconds || next == 0 {
-        for i in 0..arms {
-            let chunk = [(next, w.batch_shots)];
-            tallies[i].absorb(call(i, &chunk));
-            plans[i].push(chunk[0]);
+impl Timed {
+    fn new(arms: usize) -> Timed {
+        Timed {
+            plans: vec![Vec::new(); arms],
+            tallies: vec![Tally::default(); arms],
+            wall: 0.0,
+            segments: Vec::new(),
+            latency_samples: 0,
         }
-        next += 1;
     }
-    Timed {
-        plans,
-        tallies,
-        wall: start.elapsed().as_secs_f64(),
+
+    /// Runs one batch per arm per cycle, continuing the plan where the
+    /// last call stopped, for `seconds` cut into equal segments of at
+    /// least [`Workload::segment_s`] (one segment if `seconds` is
+    /// shorter). A segment ends with the first cycle that reaches its
+    /// deadline, so at most one cycle overruns `seconds`. Each segment
+    /// takes its p99 from `latency`, then clears it.
+    fn run(
+        &mut self,
+        w: &Workload,
+        seconds: f64,
+        latency: Option<&Histogram>,
+        mut call: impl FnMut(usize, &[BatchSpec]) -> Tally,
+    ) {
+        let segments = ((seconds / w.segment_s) as usize).max(1);
+        let start = Instant::now();
+        for k in 1..=segments {
+            let deadline = seconds * k as f64 / segments as f64;
+            let segment_start = Instant::now();
+            let mut shots = 0;
+            loop {
+                let chunk = [(self.plans[0].len() as u64, w.batch_shots)];
+                for (i, (tally, plan)) in self.tallies.iter_mut().zip(&mut self.plans).enumerate() {
+                    tally.absorb(call(i, &chunk));
+                    plan.push(chunk[0]);
+                    shots += w.batch_shots;
+                }
+                if start.elapsed().as_secs_f64() >= deadline {
+                    break;
+                }
+            }
+            let secs = segment_start.elapsed().as_secs_f64();
+            self.wall += secs;
+            let latency_p99_ns = latency.map_or(0.0, |h| {
+                self.latency_samples += h.len();
+                let p99 = h.quantile(0.99);
+                h.clear();
+                p99
+            });
+            self.segments.push(Segment {
+                shots_per_s: shots as f64 / secs,
+                latency_p99_ns,
+            });
+        }
     }
 }
 
@@ -888,25 +954,21 @@ fn under_test<'a>(real: &'a AnyDecoder, o: &Options) -> Box<dyn Decoder + 'a> {
 
 fn run_untraced(w: &Workload, o: &Options) -> Report {
     drop(prepare(w, o.seed));
-    let mut setups = Vec::with_capacity(SETUP_REPS);
-    let mut prepared = None;
-    for _ in 0..SETUP_REPS {
-        drop(prepared.take());
+    let mut setups = Vec::with_capacity(w.setup_reps);
+    let mut prepared = Vec::new();
+    for _ in 0..w.setup_reps {
+        drop(std::mem::take(&mut prepared));
         let start = Instant::now();
-        prepared = Some(prepare(w, o.seed));
+        prepared = prepare(w, o.seed);
         setups.push(start.elapsed().as_secs_f64());
     }
-    let prepared = prepared.expect("at least one set-up");
     let decoders: Vec<_> = prepared
         .iter()
         .map(|p| under_test(p.pipeline.decoder(), o))
         .collect();
     let samples = Samples::default();
-    let Timed {
-        plans,
-        tallies,
-        wall,
-    } = timed(w, o.seconds, |i, chunk| {
+    let mut timed = Timed::new(w.arms.len());
+    timed.run(w, o.seconds, Some(&samples.latency_ns), |i, chunk| {
         let p = &prepared[i];
         let (circuit, seed) = (p.pipeline.circuit(), p.pipeline.seed());
         let decoder = decoders[i].as_ref();
@@ -924,17 +986,32 @@ fn run_untraced(w: &Workload, o: &Options) -> Report {
         }
     });
     let peak_rss_mb = peak_rss_mb();
-    let violations = check(w, &prepared, &plans, &tallies);
-    let mut notes = summary(w, &tallies, prepared.iter().map(|p| p.pipeline.circuit()));
-    let total = Tally::merged(tallies);
+    let violations = check(w, &prepared, &timed.plans, &timed.tallies);
+    let mut notes = summary(
+        w,
+        &timed.tallies,
+        prepared.iter().map(|p| p.pipeline.circuit()),
+    );
+    let (mut rates, mut p99s): (Vec<f64>, Vec<f64>) = timed
+        .segments
+        .iter()
+        .map(|s| (s.shots_per_s, s.latency_p99_ns / 1e3))
+        .unzip();
     notes.push(format!(
-        "{} latency samples; set-ups {setups:?} s",
-        samples.latency_ns.len()
+        "{} segments over {:.2} s, {} latency samples; shots/s per segment {:.0?}; p99 us per segment {:.0?}; set-ups {setups:.3?} s",
+        timed.segments.len(),
+        timed.wall,
+        timed.latency_samples,
+        rates,
+        p99s,
     ));
+    let total = Tally::merged(timed.tallies);
+    // The faster quartile of segments: host slow states only ever add
+    // time (see README, "Steadiness").
     let metrics = vec![
-        total.shots as f64 / wall,
-        samples.latency_ns.quantile(0.99) / 1e3,
-        median(&mut setups),
+        quantile(&mut rates, 0.75),
+        quantile(&mut p99s, 0.25),
+        quantile(&mut setups, 0.5),
         peak_rss_mb,
     ];
     report(total.shots, violations, &END_TO_END, metrics, notes)
@@ -1005,12 +1082,8 @@ fn run_traced(w: &Workload, o: &Options) -> Report {
         .iter()
         .map(|p| under_test(p.pipeline.decoder(), o))
         .collect();
-    let Timed {
-        plans,
-        tallies: untraced,
-        wall: untraced_wall,
-        ..
-    } = timed(w, o.seconds / 2.0, |i, chunk| {
+    let mut library = Timed::new(w.arms.len());
+    library.run(w, o.seconds / 2.0, None, |i, chunk| {
         let p = &prepared[i];
         let (circuit, seed, decoder) = (
             p.pipeline.circuit(),
@@ -1023,6 +1096,12 @@ fn run_traced(w: &Workload, o: &Options) -> Report {
         };
         Tally::from_errors(per_batch, chunk)
     });
+    let Timed {
+        plans,
+        tallies: untraced,
+        wall: untraced_wall,
+        ..
+    } = library;
     // Traced pass: the same shots, layer by layer.
     let mut layers = SetupLayers::default();
     let layered = prepare_layered(w, o.seed, &mut layers);
@@ -1153,14 +1232,16 @@ fn report(
     }
 }
 
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    let mid = xs.len() / 2;
-    if xs.len().is_multiple_of(2) {
-        (xs[mid - 1] + xs[mid]) / 2.0
-    } else {
-        xs[mid]
+/// Quantile `q` of `xs`, interpolating linearly between the closest
+/// ranks (`0` for no values).
+fn quantile(xs: &mut [f64], q: f64) -> f64 {
+    if xs.is_empty() {
+        return 0.0;
     }
+    xs.sort_by(f64::total_cmp);
+    let at = q * (xs.len() - 1) as f64;
+    let (lo, hi) = (at.floor() as usize, at.ceil() as usize);
+    xs[lo] + (xs[hi] - xs[lo]) * (at - lo as f64)
 }
 
 /// Peak resident set size of this process (`VmHWM`), in MB. Untraced
@@ -1315,5 +1396,18 @@ mod tests {
             assert!((h.quantile(q) - exact).abs() < exact / 64.0, "q {q}");
         }
         assert_eq!(Histogram::default().quantile(0.5), 0.0);
+        h.clear();
+        assert_eq!(h.len(), 0);
+    }
+
+    #[test]
+    fn quantile_interpolates_between_ranks() {
+        let mut xs = [4.0, 1.0, 3.0, 2.0, 5.0];
+        assert_eq!(quantile(&mut xs, 0.5), 3.0);
+        assert_eq!(quantile(&mut xs, 0.25), 2.0);
+        assert_eq!(quantile(&mut xs, 0.75), 4.0);
+        assert_eq!(quantile(&mut [1.0, 2.0], 0.75), 1.75);
+        assert_eq!(quantile(&mut [7.0], 0.25), 7.0);
+        assert_eq!(quantile(&mut [], 0.5), 0.0);
     }
 }

@@ -89,7 +89,29 @@ fn parse(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
     })
 }
 
+/// Pins the C allocator to one arena. `parallel_batches_with` runs each
+/// batch on a fresh worker thread, and whether that thread reuses the
+/// previous worker's arena or opens one of its own depends on when the
+/// previous thread finished exiting; with a single arena the run's peak
+/// resident set no longer depends on that race.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn one_malloc_arena() {
+    extern "C" {
+        fn mallopt(param: i32, value: i32) -> i32;
+    }
+    const M_ARENA_MAX: i32 = -8;
+    // SAFETY: `mallopt` only sets a glibc allocator parameter; it is
+    // called once, before the process starts any thread.
+    unsafe {
+        mallopt(M_ARENA_MAX, 1);
+    }
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn one_malloc_arena() {}
+
 fn main() -> ExitCode {
+    one_malloc_arena();
     let args = match parse(std::env::args().skip(1)) {
         Ok(args) => args,
         Err(e) => {
