@@ -295,3 +295,121 @@ fn seeded_fused_vs_batch_error_delta_is_bounded_per_family() {
         );
     }
 }
+
+/// Fused-commit goldens: the full commit stream of every decoder
+/// family under three fused configurations, digested per config.
+///
+/// Each section records the number of commits and an FNV-1a digest of
+/// every commit's `(round, correction, cumulative, boundary_defects,
+/// stitched_edges)` in stream order (push commits, then flush commits,
+/// shot by shot). The goldens were captured from the implementation
+/// that materialized a sub-graph per window; any change to window
+/// decoding, stitching or provenance shows up as a digest mismatch.
+///
+/// Regenerate after an *intentional* behavior change with:
+///
+/// ```text
+/// cargo test -p ftqc-decoder --test fusion_identity --release \
+///     -- --ignored generate_fused_commit_goldens
+/// ```
+mod fused_commit_goldens {
+    use super::*;
+    use std::path::PathBuf;
+
+    const SHOTS: usize = 300;
+    const SEED: u64 = 2025;
+    const CONFIGS: [(u32, u32); 3] = [(2, 1), (1, 0), (3, 2)];
+
+    fn golden_path() -> PathBuf {
+        PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/data")
+            .join("fused_commit_goldens.txt")
+    }
+
+    fn fnv(hash: &mut u64, word: u32) {
+        for byte in word.to_le_bytes() {
+            *hash ^= u64::from(byte);
+            *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// One golden line per (decoder kind, fused config).
+    fn lines() -> Vec<String> {
+        let circuit = memory_circuit(5, 3e-3);
+        let (dem, _) = DetectorErrorModel::from_circuit(&circuit, true);
+        let schedule = RoundSchedule::from_circuit(&circuit);
+        let batch = sample_batch(&circuit, SHOTS, SEED);
+        let mut out = Vec::new();
+        for (name, kind) in kinds() {
+            let decoder = kind.build(&circuit, DecodingGraph::from_dem(&dem), SEED);
+            for (window, overlap) in CONFIGS {
+                let mut stream = StreamingConfig::fused(window, overlap).build(&decoder, &schedule);
+                let mut rounds = RoundStream::new(&schedule);
+                rounds.begin_batch(&batch);
+                let mut defects = Vec::new();
+                let mut hash = 0xcbf2_9ce4_8422_2325u64;
+                let mut commits = 0u32;
+                let mut record = |c: ftqc_decoder::RoundCommit| {
+                    for word in [
+                        c.round,
+                        c.correction,
+                        c.cumulative,
+                        c.boundary_defects,
+                        c.stitched_edges,
+                    ] {
+                        fnv(&mut hash, word);
+                    }
+                    commits += 1;
+                };
+                for s in 0..batch.shots {
+                    rounds.begin_shot(s);
+                    stream.begin_shot();
+                    while rounds.next_round_into(&batch, &mut defects).is_some() {
+                        if let Some(c) = stream.push_round(&defects) {
+                            record(c);
+                        }
+                    }
+                    while let Some(c) = stream.flush_round() {
+                        record(c);
+                    }
+                    stream.finish_shot();
+                }
+                out.push(format!(
+                    "{name} fused({window},{overlap}) shots={SHOTS} commits={commits} \
+                     digest={hash:016x}"
+                ));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn fused_commits_match_goldens() {
+        let text = std::fs::read_to_string(golden_path())
+            .expect("fused_commit_goldens.txt missing; run generate_fused_commit_goldens");
+        let want: Vec<&str> = text.lines().filter(|l| !l.starts_with('#')).collect();
+        let got = lines();
+        assert_eq!(got.len(), want.len(), "golden line count");
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(g, w, "fused commit stream diverged from the golden");
+        }
+    }
+
+    /// Rewrites `tests/data/fused_commit_goldens.txt` from the current
+    /// implementation. Run explicitly (see the module docs) only when a
+    /// behavior change is intentional.
+    #[test]
+    #[ignore = "writes the golden file; run explicitly to regenerate"]
+    fn generate_fused_commit_goldens() {
+        let mut out = String::from(
+            "# Fused-commit goldens (see fusion_identity.rs, fused_commit_goldens):\n\
+             # d5 memory at p = 3e-3, seeded shots; FNV-1a digest of every commit's\n\
+             # (round, correction, cumulative, boundary_defects, stitched_edges).\n",
+        );
+        for line in lines() {
+            out.push_str(&line);
+            out.push('\n');
+        }
+        std::fs::write(golden_path(), out).expect("write goldens");
+    }
+}
