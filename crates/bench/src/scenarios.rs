@@ -324,8 +324,8 @@ fn decode_latency(preset: Preset) -> Vec<BenchResult> {
             let mut defects = Vec::with_capacity(schedule.max_round_len());
             // Both streaming modes ride the same pre-sampled stream:
             // exact (full-prefix re-decode, the bit-identity baseline)
-            // and fused (O(window) per round through the round-sliced
-            // view, one round of overlap). Exact rows keep their
+            // and fused (O(window) per round on the round window's
+            // detector range, one round of overlap). Exact rows keep their
             // historical names; fused rows insert a `fused/` segment.
             for (tag, config) in [
                 ("", StreamingConfig::exact(LATENCY_WINDOW)),
@@ -357,7 +357,7 @@ fn decode_latency(preset: Preset) -> Vec<BenchResult> {
                         }
                     }
                 };
-                pass(&mut lat); // warm-up: grow scanner/scratch/view buffers
+                pass(&mut lat); // warm-up: grow scanner/scratch buffers
                 let (mut p50, mut p99, mut max) = (
                     Vec::with_capacity(SAMPLES),
                     Vec::with_capacity(SAMPLES),
@@ -416,8 +416,10 @@ fn fusion_accuracy(preset: Preset) -> Vec<BenchResult> {
     use ftqc_decoder::{count_batch_errors, count_batch_errors_streaming, StreamingConfig};
     use ftqc_sim::batch_plan;
 
+    /// (row label, decoder kind, code distances) per decoder family.
+    type Matrix = Vec<(&'static str, DecoderKind, Vec<u32>)>;
     let hw = HardwareConfig::ibm();
-    let (shots, matrix): (u64, Vec<(&str, DecoderKind, Vec<u32>)>) = match preset {
+    let (shots, matrix): (u64, Matrix) = match preset {
         Preset::Quick => (
             20_000,
             vec![

@@ -1,9 +1,9 @@
 //! End-to-end logical-error-rate evaluation.
 
-use crate::fusion::WindowView;
 use crate::scratch::{DecoderScratch, ScratchCapacity};
 use ftqc_circuit::Circuit;
 use ftqc_sim::{batch_plan, parallel_batches_with, BatchSpec, BinomialEstimate, SyndromeScanner};
+use std::ops::Range;
 
 /// A syndrome decoder: maps the set of flagged detectors of one shot to
 /// a predicted logical-observable flip mask.
@@ -20,32 +20,33 @@ pub trait Decoder: Sync {
     /// regardless of what previous decodes left in `scratch`.
     fn decode_into(&self, scratch: &mut DecoderScratch, syndrome: &[u32], correction: &mut u32);
 
-    /// Decodes one windowed-fusion sub-problem: `syndrome` holds
-    /// *view-local* detector ids (global id minus
-    /// [`WindowView::first_detector`]), sorted ascending, and the
-    /// predicted observable-flip mask lands in `correction`.
+    /// Decodes one windowed-fusion sub-problem: the defects in
+    /// `syndrome` (global detector ids, sorted ascending, all inside
+    /// `window`) decoded on the detector window `[window.start,
+    /// window.end)` of the decoder's own graph, with the predicted
+    /// observable-flip mask landing in `correction`.
     ///
-    /// The default implementation remaps the syndrome back to global
-    /// ids (through a scratch buffer, allocation-free in steady state)
-    /// and decodes it against the full problem with
-    /// [`decode_into`](Decoder::decode_into) — correct for any decoder,
-    /// and exactly right for table decoders, which have no graph to
-    /// slice. Graph-based decoders override this to materialize the
-    /// view's sub-graph ([`WindowView::ensure`]) and decode only the
-    /// window, which is what makes fused streaming O(window) per round.
+    /// No sub-graph is materialized. Graph-based decoders run on the
+    /// shared decoding graph with a range filter: an edge whose far
+    /// endpoint lies outside the window is a *cut edge* and acts as an
+    /// artificial-boundary terminal. They return `Some(cut edges)`
+    /// ([`DecodingGraph::cut_edges`](crate::DecodingGraph::cut_edges)
+    /// of the window), which is what makes fused streaming O(window)
+    /// per round.
+    ///
+    /// The default implementation decodes the defects against the full
+    /// problem with [`decode_into`](Decoder::decode_into) and returns
+    /// `None` — correct for any decoder, and exactly right for table
+    /// decoders, which have no graph to restrict.
     fn decode_window_into(
         &self,
         scratch: &mut DecoderScratch,
-        view: &mut WindowView,
+        _window: Range<u32>,
         syndrome: &[u32],
         correction: &mut u32,
-    ) {
-        let first = view.first_detector();
-        let mut global = std::mem::take(&mut scratch.window_remap);
-        global.clear();
-        global.extend(syndrome.iter().map(|&d| d + first));
-        self.decode_into(scratch, &global, correction);
-        scratch.window_remap = global;
+    ) -> Option<u32> {
+        self.decode_into(scratch, syndrome, correction);
+        None
     }
 
     /// [`decode_into`](Decoder::decode_into) through a fresh workspace
@@ -79,11 +80,11 @@ impl<D: Decoder + ?Sized> Decoder for &D {
     fn decode_window_into(
         &self,
         scratch: &mut DecoderScratch,
-        view: &mut WindowView,
+        window: Range<u32>,
         syndrome: &[u32],
         correction: &mut u32,
-    ) {
-        (**self).decode_window_into(scratch, view, syndrome, correction)
+    ) -> Option<u32> {
+        (**self).decode_window_into(scratch, window, syndrome, correction)
     }
 
     fn scratch_capacity(&self) -> ScratchCapacity {

@@ -19,6 +19,7 @@
 
 use ftqc_sim::DetectorErrorModel;
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Sentinel node index: "no node". Terminates intrusive lists and
 /// encodes the virtual boundary endpoint in packed records.
@@ -97,6 +98,12 @@ pub struct DecodingGraph {
     adj: Vec<AdjEntry>,
     /// Mechanisms that were not graphlike and had to be dropped.
     dropped: usize,
+    /// `crossing[c]`: detector-to-detector edges with one endpoint
+    /// below `c` and the other at or above it, for `c` in
+    /// `0..=num_detectors` (see [`cut_edges`](DecodingGraph::cut_edges)).
+    crossing: Vec<u32>,
+    /// Longest detector-index span `v - u` of any internal edge.
+    max_span: u32,
 }
 
 impl DecodingGraph {
@@ -174,6 +181,21 @@ impl DecodingGraph {
                 cursor[v as usize] += 1;
             }
         }
+        // Crossing counts: +1 where an internal edge starts spanning a
+        // cut point, -1 past its far end (wrapping), then a prefix sum.
+        let mut crossing = vec![0u32; n as usize + 1];
+        let mut max_span = 0;
+        for e in &rec {
+            if e.v != NO_NODE {
+                let (lo, hi) = (e.u.min(e.v) as usize, e.u.max(e.v) as usize);
+                crossing[lo + 1] = crossing[lo + 1].wrapping_add(1);
+                crossing[hi + 1] = crossing[hi + 1].wrapping_sub(1);
+                max_span = max_span.max(hi - lo);
+            }
+        }
+        for c in 1..crossing.len() {
+            crossing[c] = crossing[c].wrapping_add(crossing[c - 1]);
+        }
         DecodingGraph {
             num_detectors: n,
             edges,
@@ -181,138 +203,35 @@ impl DecodingGraph {
             adj_off,
             adj,
             dropped,
+            crossing,
+            max_span: max_span as u32,
         }
     }
 
-    /// An empty graph, for window views that are rebuilt in place
-    /// ([`rebuild_window`](DecodingGraph::rebuild_window)).
-    pub(crate) fn empty() -> DecodingGraph {
-        DecodingGraph {
-            num_detectors: 0,
-            edges: Vec::new(),
-            rec: Vec::new(),
-            adj_off: Vec::new(),
-            adj: Vec::new(),
-            dropped: 0,
-        }
-    }
-
-    /// Preallocates every internal buffer so that any
-    /// [`rebuild_window`](DecodingGraph::rebuild_window) over a
-    /// sub-range of `src` reallocates nothing.
-    pub(crate) fn reserve_for_window_of(&mut self, src: &DecodingGraph) {
-        let reserve = |v_len: usize, want: usize| want.saturating_sub(v_len);
-        self.edges.reserve(reserve(self.edges.len(), src.edges.len()));
-        self.rec.reserve(reserve(self.rec.len(), src.rec.len()));
-        self.adj_off
-            .reserve(reserve(self.adj_off.len(), src.num_detectors as usize + 1));
-        self.adj.reserve(reserve(self.adj.len(), src.adj.len()));
-    }
-
-    /// Rebuilds `self` in place as the window view of `src` over the
-    /// contiguous detector range `[dlo, dhi)`: local node `i` is global
-    /// detector `dlo + i`. Edges with both endpoints inside the range
-    /// stay internal; edges with exactly one endpoint inside are
-    /// remapped to *artificial-boundary* edges at that endpoint
-    /// (keeping their weight and observable mask) — these are the cut
-    /// edges windowed fusion stitches across — and edges entirely
-    /// outside are omitted. Returns the number of cut edges.
+    /// Cut edges of the detector window `[window.start, window.end)`:
+    /// detector-to-detector edges with exactly one endpoint inside it.
+    /// A window decode treats their outside endpoint as an
+    /// artificial-boundary terminal — the surface windowed fusion
+    /// stitches across.
     ///
-    /// For the full range (`dlo == 0`, `dhi == src.num_detectors()`)
-    /// the rebuilt view is bit-identical to `src` (same edge order,
-    /// same weights, same CSR layout), which is what lets a
-    /// window-covering-everything fused decode degenerate to the exact
-    /// batch decode. Reuses every buffer: allocation-free after
-    /// [`reserve_for_window_of`](DecodingGraph::reserve_for_window_of).
-    pub(crate) fn rebuild_window(&mut self, src: &DecodingGraph, dlo: u32, dhi: u32) -> u32 {
-        debug_assert!(dlo <= dhi && dhi <= src.num_detectors);
-        let n = (dhi - dlo) as usize;
-        self.num_detectors = n as u32;
-        self.dropped = 0;
-        self.edges.clear();
-        self.rec.clear();
-        let in_view = |d: u32| d != NO_NODE && d >= dlo && d < dhi;
-        let mut cut = 0u32;
-        // Each kept edge is claimed by exactly one in-view endpoint: its
-        // `u` endpoint when that is in view, else its `v` endpoint.
-        // Iterating nodes ascending and each node's CSR entries in
-        // ascending edge index keeps the full-range view in the source's
-        // exact edge order.
-        for g in dlo..dhi {
-            for &AdjEntry { edge, .. } in src.neighbors(g) {
-                let e = &src.rec[edge as usize];
-                let claimed = e.u == g || (e.v == g && !in_view(e.u));
-                if !claimed {
-                    continue;
-                }
-                let (local_u, local_v, is_cut) = if e.u == g {
-                    if in_view(e.v) {
-                        (e.u - dlo, e.v - dlo, false)
-                    } else {
-                        // Original boundary edges stay boundary edges;
-                        // out-of-window endpoints become artificial
-                        // boundary terminals (cut edges).
-                        (e.u - dlo, NO_NODE, e.v != NO_NODE)
-                    }
-                } else {
-                    (e.v - dlo, NO_NODE, true)
-                };
-                cut += u32::from(is_cut);
-                self.rec.push(EdgeRecord {
-                    weight: e.weight,
-                    u: local_u,
-                    v: local_v,
-                    observables: e.observables,
-                });
-                let cold = &src.edges[edge as usize];
-                self.edges.push(GraphEdge {
-                    u: local_u,
-                    v: (local_v != NO_NODE).then_some(local_v),
-                    probability: cold.probability,
-                    weight: cold.weight,
-                    observables: cold.observables,
-                });
-            }
+    /// O(1) from the per-cut-point crossing counts whenever the window
+    /// is at least as wide as the longest edge span (no edge can then
+    /// cross both of its ends); narrower windows fall back to a scan of
+    /// the window's adjacency.
+    pub fn cut_edges(&self, window: Range<u32>) -> u32 {
+        debug_assert!(window.start <= window.end && window.end <= self.num_detectors);
+        if window.end - window.start >= self.max_span {
+            return self.crossing[window.start as usize] + self.crossing[window.end as usize];
         }
-        // CSR: count, prefix-sum, scatter — the scatter advances each
-        // node's offset in place and the final shift restores it, so no
-        // cursor buffer is needed.
-        self.adj_off.clear();
-        self.adj_off.resize(n + 1, 0);
-        for e in &self.rec {
-            self.adj_off[e.u as usize + 1] += 1;
-            if e.v != NO_NODE {
-                self.adj_off[e.v as usize + 1] += 1;
-            }
-        }
-        for i in 0..n {
-            self.adj_off[i + 1] += self.adj_off[i];
-        }
-        self.adj.clear();
-        self.adj
-            .resize(self.adj_off[n] as usize, AdjEntry { edge: 0, to: 0 });
-        for i in 0..self.rec.len() {
-            let e = self.rec[i];
-            let slot = self.adj_off[e.u as usize] as usize;
-            self.adj[slot] = AdjEntry {
-                edge: i as u32,
-                to: e.v,
-            };
-            self.adj_off[e.u as usize] += 1;
-            if e.v != NO_NODE {
-                let slot = self.adj_off[e.v as usize] as usize;
-                self.adj[slot] = AdjEntry {
-                    edge: i as u32,
-                    to: e.u,
-                };
-                self.adj_off[e.v as usize] += 1;
-            }
-        }
-        for i in (1..=n).rev() {
-            self.adj_off[i] = self.adj_off[i - 1];
-        }
-        self.adj_off[0] = 0;
-        cut
+        (window.start..window.end)
+            .map(|g| {
+                let outside = self
+                    .neighbors(g)
+                    .iter()
+                    .filter(|a| a.to != NO_NODE && !window.contains(&a.to));
+                outside.count() as u32
+            })
+            .sum()
     }
 
     /// Number of detector nodes.
@@ -370,9 +289,25 @@ impl DecodingGraph {
     /// bit-identical to the allocating variant: nodes settle strictly
     /// in `(distance, node index)` order regardless of heap layout.
     pub fn dijkstra_to_with(&self, source: u32, targets: &[u32], scratch: &mut DijkstraScratch) {
-        let n = self.num_detectors as usize + 1; // + boundary
+        self.dijkstra_window_with(&(0..self.num_detectors), source, targets, scratch);
+    }
+
+    /// [`dijkstra_to_with`](DecodingGraph::dijkstra_to_with) restricted
+    /// to the detector window `[window.start, window.end)`: only window
+    /// nodes and the boundary slot are reset, and an edge whose far
+    /// endpoint lies outside the window relaxes the virtual boundary
+    /// instead (a cut edge is an artificial-boundary terminal).
+    /// `source` and `targets` are window detectors; entries of the
+    /// workspace outside the window are left stale.
+    pub(crate) fn dijkstra_window_with(
+        &self,
+        window: &Range<u32>,
+        source: u32,
+        targets: &[u32],
+        scratch: &mut DijkstraScratch,
+    ) {
         let boundary = self.num_detectors;
-        scratch.reset(n);
+        scratch.reset(window, boundary);
         let mut remaining: usize =
             targets.iter().filter(|&&t| t != source).count() + usize::from(!targets.is_empty()); // + the boundary
         scratch.dist[source as usize] = 0.0;
@@ -391,7 +326,7 @@ impl DecodingGraph {
             let from_mask = scratch.mask[u as usize];
             for &AdjEntry { edge, to } in self.neighbors(u) {
                 let r = &self.rec[edge as usize];
-                let v = if to == NO_NODE { boundary } else { to };
+                let v = if window.contains(&to) { to } else { boundary };
                 let nd = d + r.weight;
                 if nd < scratch.dist[v as usize] {
                     scratch.dist[v as usize] = nd;
@@ -465,7 +400,8 @@ impl DijkstraScratch {
     }
 
     /// Distances of the last search (`f64::INFINITY` = unreachable);
-    /// index `num_detectors` is the boundary.
+    /// index `num_detectors` is the boundary. A windowed search leaves
+    /// the entries outside its window stale.
     pub fn dist(&self) -> &[f64] {
         &self.dist
     }
@@ -475,19 +411,32 @@ impl DijkstraScratch {
         &self.mask
     }
 
-    fn reset(&mut self, n: usize) {
+    /// Re-arms the window's nodes and the `boundary` slot (sizing the
+    /// rows to `boundary + 1` entries on first use).
+    fn reset(&mut self, window: &Range<u32>, boundary: u32) {
+        let n = boundary as usize + 1;
         debug_assert!(
             self.bound_n == u32::MAX || n <= self.bound_n as usize,
             "DijkstraScratch bound overflow: search over {n} nodes through a workspace \
              bounded to {} (was the scratch built for a smaller graph?)",
             self.bound_n
         );
-        self.dist.clear();
-        self.dist.resize(n, f64::INFINITY);
-        self.mask.clear();
-        self.mask.resize(n, 0);
-        self.pos.clear();
-        self.pos.resize(n, UNREACHED);
+        if self.dist.len() < n {
+            self.dist.resize(n, f64::INFINITY);
+            self.mask.resize(n, 0);
+            self.pos.resize(n, UNREACHED);
+        }
+        let (lo, hi, b) = (
+            window.start as usize,
+            window.end as usize,
+            boundary as usize,
+        );
+        self.dist[lo..hi].fill(f64::INFINITY);
+        self.mask[lo..hi].fill(0);
+        self.pos[lo..hi].fill(UNREACHED);
+        self.dist[b] = f64::INFINITY;
+        self.mask[b] = 0;
+        self.pos[b] = UNREACHED;
         self.heap.clear();
     }
 

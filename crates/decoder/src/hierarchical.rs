@@ -1,12 +1,12 @@
 //! Hierarchical LUT + MWPM decoding with a latency model (Fig. 22).
 
 use crate::evaluate::Decoder;
-use crate::fusion::WindowView;
 use crate::lut::LutDecoder;
 use crate::mwpm::MwpmDecoder;
 use crate::scratch::{DecoderScratch, ScratchCapacity};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 use std::sync::Mutex;
 
 /// Latency model for the hierarchical decoder: LUT hits cost a fixed
@@ -153,28 +153,28 @@ impl Decoder for HierarchicalDecoder {
     }
 
     /// Windowed decode with the same two-level structure: the LUT is
-    /// consulted on the syndrome remapped to *global* ids (tables are
-    /// trained on full-circuit syndromes), and a miss decodes the
-    /// window through the backing matcher. Skips the latency model and
-    /// hit counters — windowed fusion measures its own per-round
-    /// latency; the modelled hit/miss timing study stays on the batch
-    /// path ([`decode_timed_with`](HierarchicalDecoder::decode_timed_with)).
+    /// consulted on the window's defects (global ids, the ids tables
+    /// are trained on), and a miss decodes the window through the
+    /// backing matcher. Skips the latency model and hit counters —
+    /// windowed fusion measures its own per-round latency; the
+    /// modelled hit/miss timing study stays on the batch path
+    /// ([`decode_timed_with`](HierarchicalDecoder::decode_timed_with)).
     fn decode_window_into(
         &self,
         scratch: &mut DecoderScratch,
-        view: &mut WindowView,
+        window: Range<u32>,
         syndrome: &[u32],
         correction: &mut u32,
-    ) {
-        let first = view.first_detector();
-        let mut global = std::mem::take(&mut scratch.window_remap);
-        global.clear();
-        global.extend(syndrome.iter().map(|&d| d + first));
-        match self.lut.lookup(&global) {
-            Some(prediction) => *correction = prediction,
-            None => self.mwpm.decode_window_into(scratch, view, syndrome, correction),
+    ) -> Option<u32> {
+        match self.lut.lookup(syndrome) {
+            Some(prediction) => {
+                *correction = prediction;
+                None
+            }
+            None => self
+                .mwpm
+                .decode_window_into(scratch, window, syndrome, correction),
         }
-        scratch.window_remap = global;
     }
 
     /// The LUT front end never touches the scratch, so the bound is the

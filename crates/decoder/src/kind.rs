@@ -243,10 +243,10 @@ impl Decoder for AnyDecoder {
     fn decode_window_into(
         &self,
         scratch: &mut crate::DecoderScratch,
-        view: &mut crate::WindowView,
+        window: std::ops::Range<u32>,
         syndrome: &[u32],
         correction: &mut u32,
-    ) {
+    ) -> Option<u32> {
         // Same kind-tagged spans as `decode_into`, suffixed so a trace
         // separates full-prefix decodes from windowed-fusion decodes.
         let span = ftqc_telemetry::span(match self {
@@ -255,15 +255,16 @@ impl Decoder for AnyDecoder {
             AnyDecoder::Lut(_) => "decode/lut/window",
             AnyDecoder::Hierarchical(_) => "decode/hierarchical/window",
         });
-        match self {
-            AnyDecoder::UnionFind(d) => d.decode_window_into(scratch, view, syndrome, correction),
-            AnyDecoder::Mwpm(d) => d.decode_window_into(scratch, view, syndrome, correction),
-            AnyDecoder::Lut(d) => d.decode_window_into(scratch, view, syndrome, correction),
+        let cut = match self {
+            AnyDecoder::UnionFind(d) => d.decode_window_into(scratch, window, syndrome, correction),
+            AnyDecoder::Mwpm(d) => d.decode_window_into(scratch, window, syndrome, correction),
+            AnyDecoder::Lut(d) => d.decode_window_into(scratch, window, syndrome, correction),
             AnyDecoder::Hierarchical(d) => {
-                d.decode_window_into(scratch, view, syndrome, correction)
+                d.decode_window_into(scratch, window, syndrome, correction)
             }
-        }
+        };
         span.end_with(&[ftqc_telemetry::Arg::new("defects", syndrome.len() as f64)]);
+        cut
     }
 
     fn scratch_capacity(&self) -> crate::ScratchCapacity {

@@ -38,9 +38,9 @@
 //!   prefix each commit and is bit-identical to batch decoding by
 //!   construction (telescoping XOR deltas; the type's docs carry the
 //!   argument), while [`Fused`](StreamingMode::Fused) decodes only the
-//!   active window against a round-sliced [`WindowView`] of the graph
-//!   — O(window) per round, independent of stream length, with a
-//!   measured accuracy delta. [`count_batch_errors_streaming`] is the
+//!   active window, a detector range of the shared graph with no
+//!   materialized copy — O(window) per round, independent of stream
+//!   length, with a measured accuracy delta. [`count_batch_errors_streaming`] is the
 //!   batch-driver form; the `decode-latency` scenario of `ftqc-bench`
 //!   measures per-round latency for both modes.
 //!
@@ -73,7 +73,6 @@ mod streaming;
 mod union_find;
 
 pub use evaluate::{count_batch_errors, evaluate_ler, Decoder};
-pub use fusion::WindowView;
 pub use graph::{AdjEntry, DecodingGraph, DijkstraScratch, EdgeRecord, GraphEdge, NO_NODE};
 pub use hierarchical::{HierarchicalDecoder, LatencyModel, TimedDecode};
 pub use kind::{AnyDecoder, DecoderKind};

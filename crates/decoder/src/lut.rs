@@ -104,8 +104,9 @@ impl Decoder for LutDecoder {
         *correction = self.lookup(syndrome).unwrap_or(0);
     }
 
-    /// The table decodes with no graph and no scratch; only the
-    /// remap buffer of the default windowed path needs `nodes` slots.
+    /// The table decodes with no graph and no scratch; `nodes` is the
+    /// detector count, which sizes the streaming layer's syndrome
+    /// buffer.
     fn scratch_capacity(&self) -> ScratchCapacity {
         ScratchCapacity {
             nodes: self.num_detectors,

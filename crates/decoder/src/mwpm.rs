@@ -1,10 +1,10 @@
 //! Minimum-weight perfect matching decoding.
 
 use crate::evaluate::Decoder;
-use crate::fusion::WindowView;
 use crate::graph::DecodingGraph;
 use crate::scratch::{DecoderScratch, MatchScratch, ScratchCapacity};
-use crate::union_find::{uf_decode, UfDecoder};
+use crate::union_find::UfDecoder;
+use std::ops::Range;
 use std::sync::Arc;
 /// A minimum-weight perfect-matching decoder (the role PyMatching plays
 /// in the paper's toolchain).
@@ -73,13 +73,19 @@ impl MwpmDecoder {
     }
 }
 
-/// Exact subset-DP matching of the flagged detectors over an explicit
-/// `graph`, working out of `s` (flattened `k x k` matrices plus the
-/// `2^k` DP tables). Returns the observable mask of the minimum-weight
-/// pairing, bit-identical to the historically allocating formulation.
-/// [`MwpmDecoder`] calls this with its full graph; the windowed-fusion
-/// path calls it with a round-sliced [`WindowView`]'s sub-graph.
-fn match_exact(graph: &DecodingGraph, s: &mut MatchScratch, flagged: &[u32]) -> u32 {
+/// Exact subset-DP matching of the flagged detectors over `graph`
+/// restricted to the detector window `[window.start, window.end)`,
+/// working out of `s` (flattened `k x k` matrices plus the `2^k` DP
+/// tables). Returns the observable mask of the minimum-weight pairing,
+/// bit-identical to the historically allocating formulation.
+/// [`MwpmDecoder`] calls this with the full window for batch decodes
+/// and with the active round window for windowed fusion.
+fn match_exact(
+    graph: &DecodingGraph,
+    window: &Range<u32>,
+    s: &mut MatchScratch,
+    flagged: &[u32],
+) -> u32 {
     let k = flagged.len();
     debug_assert!(
         s.bound_k == u32::MAX || k <= s.bound_k as usize,
@@ -99,7 +105,7 @@ fn match_exact(graph: &DecodingGraph, s: &mut MatchScratch, flagged: &[u32]) -> 
     s.bdry_m.clear();
     s.bdry_m.resize(k, 0);
     for (i, &f) in flagged.iter().enumerate() {
-        graph.dijkstra_to_with(f, flagged, &mut s.dijkstra);
+        graph.dijkstra_window_with(window, f, flagged, &mut s.dijkstra);
         for (j, &g) in flagged.iter().enumerate() {
             s.pair_d[i * k + j] = s.dijkstra.dist[g as usize];
             s.pair_m[i * k + j] = s.dijkstra.mask[g as usize];
@@ -163,34 +169,30 @@ impl Decoder for MwpmDecoder {
         if syndrome.len() > self.exact_limit {
             return self.fallback.decode_into(scratch, syndrome, correction);
         }
-        *correction = match_exact(&self.graph, &mut scratch.matching, syndrome);
+        let window = 0..self.graph.num_detectors();
+        *correction = match_exact(&self.graph, &window, &mut scratch.matching, syndrome);
     }
 
     fn decode_window_into(
         &self,
         scratch: &mut DecoderScratch,
-        view: &mut WindowView,
+        window: Range<u32>,
         syndrome: &[u32],
         correction: &mut u32,
-    ) {
+    ) -> Option<u32> {
         if syndrome.is_empty() {
             *correction = 0;
-            return;
+            return None;
         }
-        view.ensure(&self.graph);
         if syndrome.len() > self.exact_limit {
             // Same heavy-syndrome fallback as the batch path, on the
-            // same windowed sub-graph.
-            uf_decode(
-                view.graph(),
-                view.uf_capacities(),
-                scratch,
-                syndrome,
-                correction,
-            );
-            return;
+            // same window.
+            return self
+                .fallback
+                .decode_window_into(scratch, window, syndrome, correction);
         }
-        *correction = match_exact(view.graph(), &mut scratch.matching, syndrome);
+        *correction = match_exact(&self.graph, &window, &mut scratch.matching, syndrome);
+        Some(self.graph.cut_edges(window))
     }
 
     fn scratch_capacity(&self) -> ScratchCapacity {

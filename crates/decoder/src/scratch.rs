@@ -38,6 +38,7 @@
 
 use crate::evaluate::Decoder;
 use crate::graph::{DecodingGraph, DijkstraScratch, NO_NODE};
+use std::ops::Range;
 
 /// Worst-case workspace sizes for decoding through a given graph, the
 /// contract behind "allocation-free by construction": every scratch
@@ -118,10 +119,6 @@ fn reserve_to<T>(v: &mut Vec<T>, n: usize) {
 pub struct DecoderScratch {
     pub(crate) uf: UfScratch,
     pub(crate) matching: MatchScratch,
-    /// Local→global id remap buffer for the default
-    /// [`Decoder::decode_window_into`](crate::Decoder::decode_window_into)
-    /// path; bounded by `nodes`.
-    pub(crate) window_remap: Vec<u32>,
 }
 
 impl DecoderScratch {
@@ -138,7 +135,6 @@ impl DecoderScratch {
         let mut scratch = DecoderScratch::new();
         scratch.uf.bound(cap);
         scratch.matching.bound(cap);
-        reserve_to(&mut scratch.window_remap, cap.nodes as usize);
         scratch
     }
 
@@ -164,7 +160,7 @@ pub(crate) struct UfNode {
 /// Packed per-root cluster record (16 bytes). Only meaningful while the
 /// node is its cluster's DSU root.
 #[repr(C)]
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct UfRoot {
     /// First member of the intrusive membership list.
     pub(crate) head: u32,
@@ -185,6 +181,9 @@ pub(crate) const CLUSTER_BOUNDARY: u32 = 2;
 pub(crate) const DEFECT: u8 = 1;
 /// Mark-byte flag: node visited by the peeling BFS.
 pub(crate) const VISITED: u8 = 2;
+/// Mark-byte flag: node has a saturated incident edge (set by the
+/// peel's boundary scan, read by its component scan).
+pub(crate) const IN_FOREST: u8 = 4;
 
 /// High bit of a `grown` entry: the edge has saturated (fully grown);
 /// the low 31 bits keep the growth count.
@@ -264,10 +263,16 @@ impl UfScratch {
         self.bound_edges = cap.edges;
     }
 
-    /// Re-arms the arenas for a graph with `nodes` detectors and
-    /// `edges` edges. Allocation-free once the arenas hold the graph's
-    /// size; debug builds panic when a declared bound is exceeded.
-    pub(crate) fn reset(&mut self, nodes: usize, edges: usize) {
+    /// Re-arms the arenas for a decode of `graph` restricted to the
+    /// detector window `[window.start, window.end)`: the window's node
+    /// records and the span of edge indices incident to it are reset,
+    /// nothing else (arenas are indexed by global node and edge ids and
+    /// sized to the whole graph on first use). Allocation-free once the
+    /// arenas hold the graph's size; debug builds panic when a declared
+    /// bound is exceeded.
+    pub(crate) fn reset(&mut self, graph: &DecodingGraph, window: &Range<u32>) {
+        let nodes = graph.num_detectors() as usize;
+        let edges = graph.records().len();
         debug_assert!(
             self.bound_nodes == u32::MAX || nodes <= self.bound_nodes as usize,
             "UfScratch bound overflow: {nodes} nodes through a workspace bounded to {} \
@@ -279,24 +284,44 @@ impl UfScratch {
             "UfScratch bound overflow: {edges} edges through a workspace bounded to {}",
             self.bound_edges
         );
-        self.node.clear();
-        self.node.extend((0..nodes as u32).map(|i| UfNode {
-            parent: i,
-            next: NO_NODE,
-        }));
-        self.root.clear();
-        self.root.extend((0..nodes as u32).map(|i| UfRoot {
-            head: i,
-            tail: i,
-            size: 1,
-            flags: 0,
-        }));
-        self.mark.clear();
-        self.mark.resize(nodes, 0);
-        self.grown.clear();
-        self.grown.resize(edges, 0);
-        self.parent_edge.clear();
-        self.parent_edge.resize(nodes, NO_EDGE);
+        if self.node.len() < nodes {
+            let fresh = UfNode {
+                parent: 0,
+                next: NO_NODE,
+            };
+            self.node.resize(nodes, fresh);
+            self.root.resize(nodes, UfRoot::default());
+            self.mark.resize(nodes, 0);
+            self.parent_edge.resize(nodes, NO_EDGE);
+        }
+        if self.grown.len() < edges {
+            self.grown.resize(edges, 0);
+        }
+        // Edge span: lowest to highest edge index incident to the
+        // window (CSR entries are in ascending edge index).
+        let (mut elo, mut ehi) = (u32::MAX, 0);
+        for i in window.start..window.end {
+            self.node[i as usize] = UfNode {
+                parent: i,
+                next: NO_NODE,
+            };
+            self.root[i as usize] = UfRoot {
+                head: i,
+                tail: i,
+                size: 1,
+                flags: 0,
+            };
+            self.mark[i as usize] = 0;
+            self.parent_edge[i as usize] = NO_EDGE;
+            let adj = graph.neighbors(i);
+            if let (Some(first), Some(last)) = (adj.first(), adj.last()) {
+                elo = elo.min(first.edge);
+                ehi = ehi.max(last.edge + 1);
+            }
+        }
+        if elo < ehi {
+            self.grown[elo as usize..ehi as usize].fill(0);
+        }
         self.order.clear();
         self.root_drains.clear();
     }

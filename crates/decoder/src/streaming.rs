@@ -7,12 +7,12 @@
 //!   prefix on every commit and emits telescoping XOR deltas —
 //!   bit-identical to batch decoding for any [`Decoder`], at a
 //!   per-round cost that grows with the stream.
-//! * [`StreamingMode::Fused`] decodes only the active W-round window
-//!   against a round-sliced [`WindowView`] of the decoding graph and
-//!   stitches across window boundaries with a frozen-prefix mask
-//!   (see the [`fusion`](crate::WindowView) module docs) — per-round
-//!   cost O(window), independent of stream length, at the price of a
-//!   small, measurable accuracy delta.
+//! * [`StreamingMode::Fused`] decodes only the active W-round window —
+//!   a detector range of the shared decoding graph, with no
+//!   materialized view — and stitches across window boundaries with a
+//!   frozen-prefix mask (see `fusion.rs`) — per-round cost O(window),
+//!   independent of stream length, at the price of a small, measurable
+//!   accuracy delta.
 
 use crate::evaluate::Decoder;
 use crate::fusion::FusionCore;
@@ -28,7 +28,8 @@ pub enum StreamingMode {
     /// telescope), but per-round cost grows with the stream.
     Exact,
     /// True windowed fusion: decode only the retained W-round window
-    /// on a round-sliced graph view, carrying boundary defects forward
+    /// (a detector range of the decoding graph), carrying boundary
+    /// defects forward
     /// and freezing the contribution of defects that scroll out.
     /// Per-round cost is O(window); accuracy is approximate (measured
     /// by the `fusion-accuracy` harness).
@@ -89,8 +90,8 @@ impl StreamingConfig {
     }
 
     /// A fused-mode configuration: commits decode only the retained
-    /// window (plus `overlap` rounds of committed context) on a
-    /// round-sliced graph view.
+    /// window (plus `overlap` rounds of committed context), restricted
+    /// to its detector range of the decoding graph.
     ///
     /// # Panics
     ///
@@ -162,11 +163,17 @@ pub struct RoundCommit {
     /// this commit's decode. Always `0` in exact mode, and `0` on
     /// steady-state fused commits with `overlap: 0`.
     pub boundary_defects: u32,
-    /// Fusion provenance: cut edges of the materialized window view —
-    /// edges leaving the window that were remapped to
-    /// artificial-boundary terminals (the stitching surface). `0` in
-    /// exact mode and on commits that never materialized a view
-    /// (memoized or table-decoded).
+    /// Fusion provenance: cut edges of the window — detector-to-detector
+    /// edges with exactly one endpoint in the window's detector range,
+    /// whose outside endpoint the decode treated as an
+    /// artificial-boundary terminal (the stitching surface). No view is
+    /// materialized; the count comes in O(1) from the graph's
+    /// per-cut-point crossing counts
+    /// ([`DecodingGraph::cut_edges`](crate::DecodingGraph::cut_edges)).
+    /// `0` in exact mode and on commits that ran no fresh window decode
+    /// (memoized). A fresh decode that did not run on the graph (a
+    /// table lookup) reports the cut of the last window that did, `0`
+    /// if none has this stream.
     pub stitched_edges: u32,
 }
 
@@ -221,9 +228,10 @@ enum ModeState {
 /// # Fused mode: O(window) per round
 ///
 /// In [`StreamingMode::Fused`], commits decode only the *retained*
-/// defects — the last `W + overlap` rounds — against a round-sliced
-/// [`WindowView`](crate::WindowView) of the decoding graph whose cut
-/// edges become artificial-boundary terminals. Defects that scroll
+/// defects — the last `W + overlap` rounds — on the shared decoding
+/// graph restricted to their detector range. No sub-graph is
+/// materialized: edges whose far endpoint lies outside the range (the
+/// cut edges) act as artificial-boundary terminals. Defects that scroll
 /// out are expelled: the decoder decodes the window once with them and
 /// once without, and the XOR difference is frozen into a prefix mask,
 /// so committed deltas keep telescoping. The estimate equals the batch
@@ -291,11 +299,10 @@ pub struct StreamingDecoder<D> {
     /// deterministic), shared across shots.
     empty_pred: Option<u32>,
     decodes: u64,
-    /// Debug-asserted detector-index bound from the decoder's declared
-    /// scratch capacity. A defect at or above this would silently grow
-    /// buffers past their presized capacity and index outside the
-    /// decoder's arenas.
-    node_bound: u32,
+    /// Detectors and rounds of the schedule: the input bounds
+    /// [`push_round`](StreamingDecoder::push_round) checks.
+    num_detectors: u32,
+    num_rounds: u32,
 }
 
 impl<D: Decoder> StreamingDecoder<D> {
@@ -342,7 +349,8 @@ impl<D: Decoder> StreamingDecoder<D> {
             committed: 0,
             empty_pred: None,
             decodes: 0,
-            node_bound: cap.nodes,
+            num_detectors: schedule.num_detectors(),
+            num_rounds: schedule.num_rounds(),
         }
     }
 
@@ -371,15 +379,33 @@ impl<D: Decoder> StreamingDecoder<D> {
     /// ones (misaligned streams à la block synchronization); the
     /// retained defect set is re-sorted in place in that case, off the
     /// common path.
+    ///
+    /// # Panics
+    ///
+    /// The input checks cost O(k) for k defects in the round and run in
+    /// release builds too. Panics if:
+    ///
+    /// * more rounds are pushed this shot than the schedule has;
+    /// * the round's defects are not strictly ascending (unsorted or
+    ///   duplicated ids);
+    /// * a defect id is not below the schedule's detector count.
     pub fn push_round(&mut self, defects: &[u32]) -> Option<RoundCommit> {
-        if !defects.is_empty() {
-            debug_assert!(
-                *defects.last().unwrap() < self.node_bound,
-                "StreamingDecoder bound overflow: defect {} pushed through a decoder whose \
-                 scratch capacity covers {} detectors (was the stream built for a smaller \
-                 graph?)",
-                defects.last().unwrap(),
-                self.node_bound
+        assert!(
+            self.pushed < self.num_rounds,
+            "push_round: round {} pushed past the schedule's {} rounds",
+            self.pushed,
+            self.num_rounds
+        );
+        assert!(
+            defects.windows(2).all(|w| w[0] < w[1]),
+            "push_round: defects of round {} are not strictly ascending: {defects:?}",
+            self.pushed
+        );
+        if let Some(&last) = defects.last() {
+            assert!(
+                last < self.num_detectors,
+                "push_round: defect {last} out of range for a schedule of {} detectors",
+                self.num_detectors
             );
         }
         match &mut self.mode {
@@ -516,7 +542,7 @@ impl<D: Decoder> StreamingDecoder<D> {
             ModeState::Fused(f) => {
                 let (a, fresh) = fused_estimate(decoder, scratch, f, *pushed, empty_pred, decodes);
                 let estimate = f.frozen ^ a;
-                let stitched = if fresh { f.view.cut_edges() } else { 0 };
+                let stitched = if fresh { f.cut } else { 0 };
                 if slide {
                     let new_alo = (c_last + 1).saturating_sub(f.overlap);
                     let moved = new_alo > f.alo;
@@ -525,7 +551,7 @@ impl<D: Decoder> StreamingDecoder<D> {
                         // Freeze the expelled prefix. This runs on
                         // *every* boundary advance, not only when
                         // defects were expelled: sliding shrinks the
-                        // view, and the same active set can decode
+                        // window, and the same active set can decode
                         // differently once the trailing rounds become
                         // cut edges. Folding `a ^ b` into the mask
                         // keeps the estimate continuous
@@ -537,12 +563,7 @@ impl<D: Decoder> StreamingDecoder<D> {
                         f.frozen ^= a ^ b;
                     }
                 }
-                (
-                    estimate,
-                    f.carried(c_last + 1),
-                    stitched,
-                    f.active_len(),
-                )
+                (estimate, f.carried(c_last + 1), stitched, f.active_len())
             }
         };
         let delta = estimate ^ self.emitted;
@@ -610,8 +631,8 @@ fn exact_running<D: Decoder>(
 }
 
 /// The fused window estimate `A = decode(active defects on the current
-/// window view)`, memoized: an empty active set rides the shared
-/// empty-syndrome memo, an unchanged (view, active) pair returns the
+/// window)`, memoized: an empty active set rides the shared
+/// empty-syndrome memo, an unchanged (window, active) pair returns the
 /// cached decode, and only genuinely new windows invoke the decoder.
 /// Returns `(A, fresh)` where `fresh` marks a real windowed decode
 /// (the only case with meaningful stitched-edge provenance).
@@ -635,11 +656,11 @@ fn fused_estimate<D: Decoder>(
     if f.cached_valid {
         return (f.cached, false);
     }
-    f.prepare(pushed);
-    let local = std::mem::take(&mut f.local);
+    f.set_window(pushed);
     let mut a = 0u32;
-    decoder.decode_window_into(scratch, &mut f.view, &local, &mut a);
-    f.local = local;
+    if let Some(cut) = decoder.decode_window_into(scratch, f.dlo..f.dhi, &f.active, &mut a) {
+        f.cut = cut;
+    }
     *decodes += 1;
     f.cached = a;
     f.cached_valid = true;

@@ -2,12 +2,12 @@
 //! index arenas.
 
 use crate::evaluate::Decoder;
-use crate::fusion::WindowView;
 use crate::graph::{DecodingGraph, NO_NODE};
 use crate::scratch::{
-    DecoderScratch, ScratchCapacity, UfScratch, CLUSTER_BOUNDARY, DEFECT, NO_EDGE, PARITY,
-    SATURATED, VISITED,
+    DecoderScratch, ScratchCapacity, UfScratch, CLUSTER_BOUNDARY, DEFECT, IN_FOREST, NO_EDGE,
+    PARITY, SATURATED, VISITED,
 };
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A weighted union-find decoder (Delfosse–Nickerson).
@@ -40,11 +40,8 @@ pub struct UfDecoder {
 /// Scale factor from log-likelihood weight to integer growth units.
 const WEIGHT_SCALE: f64 = 4.0;
 
-/// Quantizes a log-likelihood weight into integer growth units — the
-/// single source of truth for edge capacities, shared by the full-graph
-/// decoder and the windowed-fusion views so a full-range view decodes
-/// bit-identically to the batch path.
-pub(crate) fn quantize_capacity(weight: f64) -> u32 {
+/// Quantizes a log-likelihood weight into integer growth units.
+fn quantize_capacity(weight: f64) -> u32 {
     ((weight * WEIGHT_SCALE).round() as u32).max(1)
 }
 
@@ -76,16 +73,27 @@ impl UfDecoder {
 }
 
 /// The union-find decode core over an explicit `(graph, capacity)`
-/// pair: cluster growth plus peeling, writing the observable mask into
-/// `correction`. [`UfDecoder`] calls this with its full graph; the
-/// windowed-fusion path calls it with a round-sliced
-/// [`WindowView`](crate::WindowView)'s sub-graph and per-view
-/// capacities — same core, same arenas, so a full-range view decodes
-/// bit-identically to the batch path.
+/// pair, restricted to the detector window `[window.start,
+/// window.end)`: cluster growth plus peeling, writing the observable
+/// mask into `correction`. `syndrome` holds window detectors (global
+/// ids, ascending). An edge whose far endpoint lies outside the window
+/// is an artificial-boundary terminal (a cut edge). [`UfDecoder`]
+/// decodes batch syndromes through the full window `0..num_detectors`;
+/// windowed fusion passes the active round window.
+///
+/// Only the window's nodes and its incident edges are reset or walked,
+/// so a window decode costs O(window), never O(graph). The result is
+/// bit-identical to decoding a copy of the window's sub-graph: node ids
+/// differ by a constant shift, so every order by node id is preserved;
+/// internal edges keep their relative order, so unions (the only
+/// order-sensitive growth step) happen in the same sequence; and the
+/// peel visits boundary-anchored edges by (window endpoint, edge
+/// index), the order a copied sub-graph lists them in.
 pub(crate) fn uf_decode(
     graph: &DecodingGraph,
     capacity: &[u32],
     scratch: &mut DecoderScratch,
+    window: &Range<u32>,
     syndrome: &[u32],
     correction: &mut u32,
 ) {
@@ -93,11 +101,11 @@ pub(crate) fn uf_decode(
     if syndrome.is_empty() {
         return;
     }
-    let n = graph.num_detectors() as usize;
     let rec = graph.records();
     debug_assert_eq!(capacity.len(), rec.len());
+    debug_assert!(syndrome.iter().all(|d| window.contains(d)));
     let s = &mut scratch.uf;
-    s.reset(n, rec.len());
+    s.reset(graph, window);
     for &f in syndrome {
         s.mark[f as usize] |= DEFECT;
         s.root[f as usize].flags |= PARITY;
@@ -146,8 +154,11 @@ pub(crate) fn uf_decode(
                 if s.grown[ei as usize] >= capacity[ei as usize] {
                     s.grown[ei as usize] |= SATURATED;
                     let e = &rec[ei as usize];
-                    if e.v == NO_NODE {
+                    if !window.contains(&e.v) {
                         let r = s.find(e.u);
+                        s.root[r as usize].flags |= CLUSTER_BOUNDARY;
+                    } else if !window.contains(&e.u) {
+                        let r = s.find(e.v);
                         s.root[r as usize].flags |= CLUSTER_BOUNDARY;
                     } else {
                         s.union(e.u, e.v);
@@ -161,29 +172,38 @@ pub(crate) fn uf_decode(
     // Peeling: build spanning forests over saturated edges and peel
     // leaves, flipping defects toward the root (boundary-anchored
     // when available).
-    *correction = peel(graph, s);
+    *correction = peel(graph, s, window);
 }
 
 impl Decoder for UfDecoder {
     fn decode_into(&self, scratch: &mut DecoderScratch, syndrome: &[u32], correction: &mut u32) {
-        uf_decode(&self.graph, &self.capacity, scratch, syndrome, correction);
+        let window = 0..self.graph.num_detectors();
+        uf_decode(
+            &self.graph,
+            &self.capacity,
+            scratch,
+            &window,
+            syndrome,
+            correction,
+        );
     }
 
     fn decode_window_into(
         &self,
         scratch: &mut DecoderScratch,
-        view: &mut WindowView,
+        window: Range<u32>,
         syndrome: &[u32],
         correction: &mut u32,
-    ) {
-        view.ensure(&self.graph);
+    ) -> Option<u32> {
         uf_decode(
-            view.graph(),
-            view.uf_capacities(),
+            &self.graph,
+            &self.capacity,
             scratch,
+            &window,
             syndrome,
             correction,
         );
+        Some(self.graph.cut_edges(window))
     }
 
     fn scratch_capacity(&self) -> ScratchCapacity {
@@ -192,10 +212,11 @@ impl Decoder for UfDecoder {
 }
 
 /// Breadth-first spanning tree of `root`'s component in the saturated
-/// subgraph, appended to `s.order` / `s.parent_edge`. The order array
-/// doubles as the FIFO queue (new nodes are pushed at the tail and
-/// scanned by index), so BFS needs no separate queue arena.
-fn bfs(graph: &DecodingGraph, s: &mut UfScratch, root: u32) {
+/// subgraph of the window, appended to `s.order` / `s.parent_edge`.
+/// The order array doubles as the FIFO queue (new nodes are pushed at
+/// the tail and scanned by index), so BFS needs no separate queue
+/// arena.
+fn bfs(graph: &DecodingGraph, s: &mut UfScratch, window: &Range<u32>, root: u32) {
     s.mark[root as usize] |= VISITED;
     let mut scan = s.order.len();
     s.order.push(root);
@@ -203,7 +224,7 @@ fn bfs(graph: &DecodingGraph, s: &mut UfScratch, root: u32) {
         let u = s.order[scan];
         scan += 1;
         for a in graph.neighbors(u) {
-            if s.grown[a.edge as usize] & SATURATED == 0 || a.to == NO_NODE {
+            if s.grown[a.edge as usize] & SATURATED == 0 || !window.contains(&a.to) {
                 continue;
             }
             if s.mark[a.to as usize] & VISITED == 0 {
@@ -215,34 +236,36 @@ fn bfs(graph: &DecodingGraph, s: &mut UfScratch, root: u32) {
     }
 }
 
-/// Peels the saturated subgraph (in `s.grown` / `s.mark`), returning
-/// the observable mask of the correction.
-fn peel(graph: &DecodingGraph, s: &mut UfScratch) -> u32 {
-    let n = graph.num_detectors() as usize;
+/// Peels the saturated subgraph of the window (in `s.grown` /
+/// `s.mark`), returning the observable mask of the correction.
+fn peel(graph: &DecodingGraph, s: &mut UfScratch, window: &Range<u32>) -> u32 {
     let rec = graph.records();
     let mut mask = 0u32;
-    // VISITED bits are clear here: reset zeroed the marks and only the
-    // peeling BFS below sets them.
-    // Boundary-anchored spanning trees first: each root's BFS claims
-    // its whole component before other roots are considered, so
-    // boundary-reachable defects drain to the boundary.
-    for (ei, e) in rec.iter().enumerate() {
-        if s.grown[ei] & SATURATED != 0 && e.v == NO_NODE && s.mark[e.u as usize] & VISITED == 0 {
-            s.root_drains.push((e.u, ei as u32));
-            bfs(graph, s, e.u);
+    // VISITED and IN_FOREST bits are clear here: reset zeroed the
+    // marks and only the scans below set them.
+    // Boundary-anchored spanning trees first, by (window endpoint,
+    // edge index): each root's BFS claims its whole component before
+    // other roots are considered, so boundary-reachable defects drain
+    // to the boundary. The same scan flags every node with a saturated
+    // edge for the component scan below.
+    for node in window.start..window.end {
+        for a in graph.neighbors(node) {
+            if s.grown[a.edge as usize] & SATURATED == 0 {
+                continue;
+            }
+            s.mark[node as usize] |= IN_FOREST;
+            if !window.contains(&a.to) && s.mark[node as usize] & VISITED == 0 {
+                s.root_drains.push((node, a.edge));
+                bfs(graph, s, window, node);
+            }
         }
     }
     // Remaining components of the saturated subgraph.
-    for node in 0..n as u32 {
-        if s.mark[node as usize] & VISITED == 0 {
-            let in_subgraph = graph
-                .neighbors(node)
-                .iter()
-                .any(|a| s.grown[a.edge as usize] & SATURATED != 0);
-            if in_subgraph || s.mark[node as usize] & DEFECT != 0 {
-                s.root_drains.push((node, NO_EDGE));
-                bfs(graph, s, node);
-            }
+    for node in window.start..window.end {
+        if s.mark[node as usize] & VISITED == 0 && s.mark[node as usize] & (IN_FOREST | DEFECT) != 0
+        {
+            s.root_drains.push((node, NO_EDGE));
+            bfs(graph, s, window, node);
         }
     }
     // Peel in reverse BFS order: each non-root node pushes its defect

@@ -9,12 +9,14 @@
 //! more window boundaries keep the telescoping/provenance invariants
 //! at every overlap; and seeded fused-vs-batch error-count deltas stay
 //! inside a small bound at the realistic `fused(W, overlap)` settings
-//! the benches run.
+//! the benches run. Golden digests pin every fused commit, the O(1)
+//! cut-edge count is checked against a direct count, and
+//! `push_round`'s release-mode input checks each have a test.
 
 use ftqc_circuit::Circuit;
 use ftqc_decoder::{
-    count_batch_errors, count_batch_errors_streaming, Decoder, DecoderKind, DecoderScratch,
-    DecodingGraph, StreamingConfig,
+    count_batch_errors, count_batch_errors_streaming, AnyDecoder, Decoder, DecoderKind,
+    DecoderScratch, DecodingGraph, StreamingConfig, StreamingDecoder,
 };
 use ftqc_noise::{CircuitNoiseModel, HardwareConfig};
 use ftqc_sim::{batch_plan, sample_batch, DetectorErrorModel, RoundSchedule, RoundStream};
@@ -145,7 +147,10 @@ fn full_overlap_never_expels_even_with_a_one_round_window() {
         carried = carried.max(c.boundary_defects);
     }
     stream.finish_shot();
-    assert!(carried > 0, "full-overlap commits must report carried context");
+    assert!(
+        carried > 0,
+        "full-overlap commits must report carried context"
+    );
 }
 
 #[test]
@@ -217,10 +222,11 @@ fn defect_chains_straddling_multiple_window_boundaries() {
 
 #[test]
 fn window_decodes_report_stitched_edges() {
-    // Graph decoders materialize the round-sliced view; a mid-stream
-    // window of a multi-round circuit necessarily cuts round-spanning
-    // edges, and the commit that decoded it must say so. Table
-    // decoders (LUT) never build a view, so their provenance stays 0.
+    // Graph decoders decode on the round window's detector range; a
+    // mid-stream window of a multi-round circuit necessarily cuts
+    // round-spanning edges, and the commit that decoded it must say
+    // so. Table decoders (LUT) never decode on the graph, so their
+    // provenance stays 0.
     let circuit = memory_circuit(3, 3e-3);
     let (dem, _) = DetectorErrorModel::from_circuit(&circuit, true);
     let schedule = RoundSchedule::from_circuit(&circuit);
@@ -249,7 +255,7 @@ fn window_decodes_report_stitched_edges() {
             capacity_bytes: CAPACITY_BYTES,
         }),
         0,
-        "table decoders never materialize a view"
+        "table decoders never decode on the graph"
     );
 }
 
@@ -294,6 +300,81 @@ fn seeded_fused_vs_batch_error_delta_is_bounded_per_family() {
             "{name}: overlap=1 (delta {delta}) should not be far worse than overlap=0 (delta {delta_bare})"
         );
     }
+}
+
+#[test]
+fn cut_edge_counts_match_a_direct_count_on_every_round_window() {
+    // The O(1) crossing-count formula must agree with counting the
+    // edges with exactly one endpoint in the window, for every
+    // round-aligned window of a d5 schedule — including windows
+    // narrower than the longest edge span, where it falls back to a
+    // scan.
+    let circuit = memory_circuit(5, 3e-3);
+    let (dem, _) = DetectorErrorModel::from_circuit(&circuit, true);
+    let graph = DecodingGraph::from_dem(&dem);
+    let schedule = RoundSchedule::from_circuit(&circuit);
+    let max_span = graph
+        .edges()
+        .iter()
+        .filter_map(|e| e.v.map(|v| v.abs_diff(e.u)))
+        .max()
+        .unwrap();
+    let mut narrow = 0;
+    for rlo in 0..schedule.num_rounds() {
+        for rhi in rlo + 1..=schedule.num_rounds() {
+            let (dlo, dhi) = schedule.window_envelope(rlo, rhi);
+            let inside = |d: u32| (dlo..dhi).contains(&d);
+            let direct = graph
+                .edges()
+                .iter()
+                .filter(|e| e.v.is_some_and(|v| inside(e.u) != inside(v)))
+                .count() as u32;
+            assert_eq!(
+                graph.cut_edges(dlo..dhi),
+                direct,
+                "rounds {rlo}..{rhi} (detectors {dlo}..{dhi})"
+            );
+            narrow += u32::from(dhi - dlo < max_span);
+        }
+    }
+    assert!(
+        narrow > 0,
+        "want a window narrower than the longest edge span"
+    );
+}
+
+/// A begun fused(2, 1) stream over a d3 memory, with its schedule.
+fn d3_fused_stream() -> (StreamingDecoder<AnyDecoder>, RoundSchedule) {
+    let circuit = memory_circuit(3, 3e-3);
+    let (dem, _) = DetectorErrorModel::from_circuit(&circuit, true);
+    let decoder = DecoderKind::UnionFind.build(&circuit, DecodingGraph::from_dem(&dem), 2025);
+    let schedule = RoundSchedule::from_circuit(&circuit);
+    let mut stream = StreamingConfig::fused(2, 1).build(decoder, &schedule);
+    stream.begin_shot();
+    (stream, schedule)
+}
+
+#[test]
+#[should_panic(expected = "out of range for a schedule of")]
+fn push_round_rejects_a_defect_id_past_the_detectors() {
+    let (mut stream, schedule) = d3_fused_stream();
+    stream.push_round(&[0, schedule.num_detectors()]);
+}
+
+#[test]
+#[should_panic(expected = "pushed past the schedule's")]
+fn push_round_rejects_rounds_past_the_schedule() {
+    let (mut stream, schedule) = d3_fused_stream();
+    for _ in 0..=schedule.num_rounds() {
+        stream.push_round(&[]);
+    }
+}
+
+#[test]
+#[should_panic(expected = "not strictly ascending")]
+fn push_round_rejects_duplicate_defects() {
+    let (mut stream, _) = d3_fused_stream();
+    stream.push_round(&[3, 3]);
 }
 
 /// Fused-commit goldens: the full commit stream of every decoder

@@ -411,24 +411,26 @@ impl<'a> Extractor<'a> {
             }
         } else {
             // First pass: everything graphlike goes in directly and
-            // registers as an elementary edge.
-            let mut elementary: Vec<(Vec<u32>, u32)> = Vec::new();
+            // registers as an elementary edge, keyed by its detectors
+            // with the observable mask of the last such component.
+            let mut obs_for: HashMap<Vec<u32>, u32> = HashMap::new();
             let mut pending: Vec<RawComponent> = Vec::new();
             for c in raw {
                 if c.detectors.len() <= 2 {
-                    elementary.push((c.detectors.clone(), c.observables));
+                    match obs_for.get_mut(&c.detectors) {
+                        Some(o) => *o = c.observables,
+                        None => {
+                            obs_for.insert(c.detectors.clone(), c.observables);
+                        }
+                    }
                     add(c.detectors, c.observables, c.probability);
                 } else {
                     pending.push(c);
                 }
             }
-            use std::collections::HashSet;
-            let edge_set: HashSet<Vec<u32>> = elementary.iter().map(|(d, _)| d.clone()).collect();
-            let obs_for: HashMap<Vec<u32>, u32> =
-                elementary.iter().map(|(d, o)| (d.clone(), *o)).collect();
             for c in pending {
                 stats.decomposed_hyperedges += 1;
-                match decompose_against(&c.detectors, &edge_set) {
+                match decompose_against(&c.detectors, &obs_for) {
                     Some(parts) => {
                         // Distribute observables: assign the component's
                         // observable mask XOR of the parts' own known
@@ -474,11 +476,9 @@ impl<'a> Extractor<'a> {
 }
 
 /// Tries to partition `dets` (sorted, > 2 entries) into groups of 1–2
-/// detectors such that every group is an existing elementary edge.
-fn decompose_against(
-    dets: &[u32],
-    edges: &std::collections::HashSet<Vec<u32>>,
-) -> Option<Vec<Vec<u32>>> {
+/// detectors such that every group is an existing elementary edge (a
+/// key of `edges`).
+fn decompose_against(dets: &[u32], edges: &HashMap<Vec<u32>, u32>) -> Option<Vec<Vec<u32>>> {
     if dets.is_empty() {
         return Some(Vec::new());
     }
@@ -486,7 +486,7 @@ fn decompose_against(
     // Try pairing `first` with each other detector.
     for (i, &other) in dets.iter().enumerate().skip(1) {
         let pair = vec![first, other];
-        if edges.contains(&pair) {
+        if edges.contains_key(&pair) {
             let mut rest: Vec<u32> = Vec::with_capacity(dets.len() - 2);
             for (j, &d) in dets.iter().enumerate() {
                 if j != 0 && j != i {
@@ -501,7 +501,7 @@ fn decompose_against(
     }
     // Try `first` alone as a boundary edge.
     let single = vec![first];
-    if edges.contains(&single) {
+    if edges.contains_key(&single) {
         if let Some(mut sub) = decompose_against(&dets[1..], edges) {
             sub.insert(0, single);
             return Some(sub);
@@ -663,14 +663,13 @@ mod tests {
 
     #[test]
     fn decompose_against_splits_into_pairs() {
-        use std::collections::HashSet;
-        let mut edges = HashSet::new();
-        edges.insert(vec![0, 1]);
-        edges.insert(vec![2, 3]);
+        let mut edges = HashMap::new();
+        edges.insert(vec![0, 1], 0);
+        edges.insert(vec![2, 3], 0);
         let parts = decompose_against(&[0, 1, 2, 3], &edges).unwrap();
         assert_eq!(parts, vec![vec![0, 1], vec![2, 3]]);
         assert!(decompose_against(&[0, 2, 3], &edges).is_none());
-        edges.insert(vec![0]);
+        edges.insert(vec![0], 0);
         let parts = decompose_against(&[0, 2, 3], &edges).unwrap();
         assert_eq!(parts, vec![vec![0], vec![2, 3]]);
     }

@@ -144,15 +144,24 @@ impl RoundSchedule {
     /// Panics if `r >= num_rounds()`.
     pub fn round_envelope(&self, r: u32) -> (u32, u32) {
         let runs = self.runs_in(r);
-        let lo = runs.iter().map(|&(lo, _)| lo).min().expect("round has runs");
-        let hi = runs.iter().map(|&(_, hi)| hi).max().expect("round has runs");
+        let lo = runs
+            .iter()
+            .map(|&(lo, _)| lo)
+            .min()
+            .expect("round has runs");
+        let hi = runs
+            .iter()
+            .map(|&(_, hi)| hi)
+            .max()
+            .expect("round has runs");
         (lo, hi)
     }
 
     /// The merged detector-index envelope of the round range
     /// `[lo_round, hi_round)` (clamped to the schedule), or `(0, 0)`
-    /// when the clamped range is empty — the contiguous detector slice
-    /// a windowed-fusion decoder materializes for that round window.
+    /// when the clamped range is empty — the contiguous detector range
+    /// a windowed-fusion decoder restricts the graph to for that round
+    /// window.
     pub fn window_envelope(&self, lo_round: u32, hi_round: u32) -> (u32, u32) {
         let hi_round = hi_round.min(self.num_rounds());
         let lo_round = lo_round.min(hi_round);
@@ -408,7 +417,10 @@ mod tests {
         for r in 0..s.num_rounds() {
             let (lo, hi) = s.round_envelope(r);
             for d in s.detectors_in(r) {
-                assert!(d >= lo && d < hi, "round {r} detector {d} outside [{lo},{hi})");
+                assert!(
+                    d >= lo && d < hi,
+                    "round {r} detector {d} outside [{lo},{hi})"
+                );
             }
         }
         // Contiguous builders: the window envelope is the union of the
