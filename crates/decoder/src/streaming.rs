@@ -137,6 +137,15 @@ impl StreamingConfig {
     /// schedule tells fused mode which detectors belong to which round
     /// (exact mode carries no per-round state, but takes the schedule
     /// uniformly so callers never branch on the mode).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the decoder's declared
+    /// [`scratch_capacity`](Decoder::scratch_capacity) has fewer nodes
+    /// than the schedule has detectors (a decoder built for a smaller
+    /// graph), so the per-round id checks of
+    /// [`push_round`](StreamingDecoder::push_round) also bound the
+    /// decoder's arenas.
     pub fn build<D: Decoder>(self, decoder: D, schedule: &RoundSchedule) -> StreamingDecoder<D> {
         StreamingDecoder::with_config(decoder, self, schedule)
     }
@@ -328,6 +337,12 @@ impl<D: Decoder> StreamingDecoder<D> {
         // reuses them allocation-free.
         let scratch = DecoderScratch::for_decoder(&decoder);
         let cap = decoder.scratch_capacity();
+        assert!(
+            cap.nodes >= schedule.num_detectors(),
+            "streaming decoder sized for {} detectors, schedule has {}",
+            cap.nodes,
+            schedule.num_detectors()
+        );
         let mode = match config.mode {
             StreamingMode::Exact => ModeState::Exact(ExactState {
                 syndrome: Vec::with_capacity(cap.nodes as usize),

@@ -377,6 +377,16 @@ fn push_round_rejects_duplicate_defects() {
     stream.push_round(&[3, 3]);
 }
 
+#[test]
+#[should_panic(expected = "streaming decoder sized for")]
+fn build_rejects_a_decoder_for_a_smaller_graph_than_the_schedule() {
+    let small = memory_circuit(3, 3e-3);
+    let (dem, _) = DetectorErrorModel::from_circuit(&small, true);
+    let decoder = DecoderKind::UnionFind.build(&small, DecodingGraph::from_dem(&dem), 2025);
+    let schedule = RoundSchedule::from_circuit(&memory_circuit(5, 3e-3));
+    StreamingConfig::fused(2, 1).build(decoder, &schedule);
+}
+
 /// Fused-commit goldens: the full commit stream of every decoder
 /// family under three fused configurations, digested per config.
 ///

@@ -417,12 +417,7 @@ impl<'a> Extractor<'a> {
             let mut pending: Vec<RawComponent> = Vec::new();
             for c in raw {
                 if c.detectors.len() <= 2 {
-                    match obs_for.get_mut(&c.detectors) {
-                        Some(o) => *o = c.observables,
-                        None => {
-                            obs_for.insert(c.detectors.clone(), c.observables);
-                        }
-                    }
+                    obs_for.insert(c.detectors.clone(), c.observables);
                     add(c.detectors, c.observables, c.probability);
                 } else {
                     pending.push(c);
